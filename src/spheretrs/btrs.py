@@ -7,7 +7,6 @@ Ax + b = mu*x for a scalar mu; we work with (mu, x) pairs throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List
 
@@ -68,14 +67,6 @@ class CaseInfo:
     @property
     def is_easy(self) -> bool:
         return self.kind == "easy"
-
-
-def _check_unit(x: np.ndarray) -> None:
-    err = abs(float(np.linalg.norm(x)) - 1.0)
-    if err > 1e-8:
-        raise ValueError(f"input is not unit norm (deviation {err:.3e})")
-    if err > 1e-12:
-        warnings.warn(f"unit-norm drift {err:.3e}", stacklevel=3)
 
 
 def objective(p: BtrsProblem, x, ax: np.ndarray | None = None) -> float:

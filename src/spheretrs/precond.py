@@ -145,10 +145,6 @@ def make_phi(pre: Preconditioner, p: BtrsProblem, smoothing: float | None = None
     return PhiFilter(floor=floor, smoothing=float(smoothing))
 
 
-def phi(f: PhiFilter, alpha: float) -> float:
-    return f(alpha)
-
-
 def metric_shift(pre: Preconditioner, f: PhiFilter, p: BtrsProblem, x) -> float:
     """The scalar phi(-mu_x) defining M_x = M + phi(-mu_x)*I at x."""
     return f(-affine_rayleigh(p, x))
@@ -160,11 +156,6 @@ def metric_matrix(
     """Dense M_x = M + phi(-mu_x)*I.  Diagnostics only."""
     n = p.dim
     return pre.to_dense(n) + metric_shift(pre, f, p, x) * np.eye(n)
-
-
-def solve(pre: Preconditioner, shift: float, v) -> np.ndarray:
-    """(M + shift*I)^{-1} v."""
-    return pre.solve(shift, np.asarray(v, dtype=float))
 
 
 def build_eig_seed(

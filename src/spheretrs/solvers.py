@@ -7,6 +7,12 @@ trial step is 1/||b|| whenever the step cap is enabled: steps below that
 bound keep iterates inside the set S_E = {x : (v'b)(v'x) <= 0 for all
 minimal eigenvectors v}, which is what makes the -b/||b|| start reach the
 global optimum in the easy case.
+
+Cost model: one operator application per descent step (the ``A d`` of the
+line search; ``A x`` at the accepted point follows by linearity), plus a
+fresh ``A x`` every ``K`` accepted steps and before any verdict (residual
+replacement), so a returned ``mu``, ``q`` and residual never rest on the
+recurrence.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ from .geometry import (
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_FAILED = "failed"
+
+#: Accepted steps between fresh products ``A x`` that replace the recurrence
+#: ``A y = (A x + t A d) / ||x + t d||`` carried by the descent loop.
+K = 50
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,10 @@ def _armijo(m, p, x, q0, ax, d, decrease, cfg, exact_init=False):
     when q(x) - q(y) >= t * c * decrease.  Returns (t, y, ay, qy) or
     (None,)*4 when no acceptable step exists above 1e-18.
 
+    One operator application per call: ``A d`` feeds the decrease scalars,
+    and ``ay = (ax + t A d) / ||x + t d||`` follows by linearity, so ``ay``
+    carries whatever error ``ax`` carries.
+
     The decrease q(y) - q(x) is evaluated through its exact scalar
     expansion in t, which stays fully accurate even when the per-step
     decrease is far below the rounding level of q itself.
@@ -202,9 +216,8 @@ def _armijo(m, p, x, q0, ax, d, decrease, cfg, exact_init=False):
         ) / s2 - bx * sm1 / s
         if -dq >= t * c * decrease:
             y = x + t * d
-            y /= np.linalg.norm(y)
-            ay = p.a.apply(y)
-            return t, y, ay, q0 + dq
+            ny = np.linalg.norm(y)
+            return t, y / ny, (ax + t * ad) / ny, q0 + dq
         t *= tau
     return None, None, None, None
 
@@ -218,11 +231,20 @@ def _descent_loop(
     res_cap: Optional[float] = None,
 ) -> SolveResult:
     """Shared RGD/RCG loop with Armijo backtracking and a combined
-    gradient-norm / stationarity-residual stopping rule."""
+    gradient-norm / stationarity-residual stopping rule.
+
+    ``A x`` is carried by the recurrence of :func:`_armijo` and replaced by
+    a fresh product every ``K`` accepted steps.  A stopping test passed on a
+    recurrence value is repeated on a fresh ``A x``; if it then fails, the
+    loop continues from the steepest-descent direction.  A ``max_iter`` or
+    stalled return is refreshed too, so the result and the final trace row
+    carry a fresh ``mu``, ``q`` and residual.
+    """
     b = p.b
     eff_tol_res = cfg.tol_res * max(1.0, p.b_norm)
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
+    tol_gg = cfg.tol_grad**2
     cg_restart = cfg.cg_restart if cfg.cg_restart is not None else p.dim
     standard = isinstance(m, StandardMetric)
     seeded = isinstance(m, SeededMetric)
@@ -230,19 +252,12 @@ def _descent_loop(
     trace = SolveTrace()
     t_start = time.perf_counter()
 
-    x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    ax = p.a.apply(x)
-    bx = float(b @ x)
-    xax = float(x @ ax)
-    q = 0.5 * xax + bx
-    mu = xax + bx
-
     def gradient(x, ax, mu):
+        """(direction form, M_x . tangent form, M_x^{-1} x) of the gradient."""
         egrad = ax + b
         if standard:
             g = egrad - x * float(x @ egrad)
-            return g, g  # (direction form, M_x . tangent form coincide)
+            return g, g, x
         if seeded:
             shift = m.phi(-mu)
             u = m.minv(p, x, egrad, shift)
@@ -255,19 +270,21 @@ def _descent_loop(
             mg = m.mapply(p, x, g, shift)
         else:
             mg = m.mapply(p, x, g)
-        return g, mg
+        return g, mg, y
 
-    g, mg = gradient(x, ax, mu)
-    gg = float(g @ mg)  # metric norm squared of the gradient
-    d = -g
-    dg = -gg  # g(d, grad)
-    since_reset = 0
-    status = STATUS_MAX_ITER
-    reason = ""
-    step = 0.0
-
-    for it in range(cfg.max_iter):
+    def at(x, ax, q=None):
+        """State at x from ``ax``: (ax, q, mu, g, M_x g, M_x^{-1} x, g(g, g),
+        residual norm); q is computed afresh unless given."""
+        bx = float(b @ x)
+        xax = float(x @ ax)
+        mu = xax + bx
+        g, mg, minv_x = gradient(x, ax, mu)
+        if q is None:
+            q = 0.5 * xax + bx
         rn = float(np.linalg.norm(mu * x - ax - b))
+        return ax, q, mu, g, mg, minv_x, float(g @ mg), rn
+
+    def record(it):
         trace.record(
             it,
             q,
@@ -277,7 +294,29 @@ def _descent_loop(
             time.perf_counter() - t_start,
             x.copy() if cfg.record_iterates else None,
         )
-        if gg <= cfg.tol_grad**2 and rn <= eff_tol_res:
+
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+    d = -g
+    dg = -gg  # g(d, grad)
+    since_reset = 0
+    stale = 0  # accepted steps since ax was last a fresh product
+    status = STATUS_MAX_ITER
+    reason = ""
+    step = 0.0
+
+    for it in range(cfg.max_iter):
+        done = gg <= tol_gg and rn <= eff_tol_res
+        if done and stale:
+            # The test passed on the recurrence: decide on a fresh A x.
+            ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+            stale = 0
+            done = gg <= tol_gg and rn <= eff_tol_res
+            if not done:
+                d, dg, since_reset = -g, -gg, 0
+        record(it)
+        if done:
             status = STATUS_CONVERGED
             break
 
@@ -292,13 +331,11 @@ def _descent_loop(
 
         if use_cg:
             g_old, gg_old, d_old = g, gg, d
-        x, ax = y, ay
-        bx = float(b @ x)
-        xax = float(x @ ax)
-        q = qy
-        mu = xax + bx
-        g, mg = gradient(x, ax, mu)
-        gg = float(g @ mg)
+        stale += 1
+        if stale == K:
+            ay, qy, stale = p.a.apply(y), None, 0
+        x = y
+        ax, q, mu, g, mg, minv_x, gg, rn = at(x, ay, qy)
 
         if use_cg:
             since_reset += 1
@@ -308,16 +345,11 @@ def _descent_loop(
                 td = d_old - x * float(x @ d_old)
                 mtg = tg
             else:
-                if seeded:
-                    shift = m.phi(-mu)
-                    minv_x = m.minv(p, x, x, shift)
-                else:
-                    minv_x = m.minv(p, x, x)
                 denom = float(x @ minv_x)
                 tg = g_old - (float(x @ g_old) / denom) * minv_x
                 td = d_old - (float(x @ d_old) / denom) * minv_x
                 if seeded:
-                    mtg = m.mapply(p, x, tg, shift)
+                    mtg = m.mapply(p, x, tg, m.phi(-mu))
                 else:
                     mtg = m.mapply(p, x, tg)
             # Polak-Ribiere+ with metric inner products.
@@ -333,18 +365,16 @@ def _descent_loop(
             d = -g
             dg = -gg
 
+    if stale:
+        ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+        if status == STATUS_FAILED:
+            # The last row holds this same point: restate it from the fresh A x.
+            trace.q[-1] = q
+            trace.grad_norm[-1] = np.sqrt(max(gg, 0.0))
+            trace.res_norm[-1] = rn
     if status == STATUS_MAX_ITER:
         # The loop exhausted its budget after taking a step; log the final point.
-        rn = float(np.linalg.norm(mu * x - ax - b))
-        trace.record(
-            len(trace.iters),
-            q,
-            np.sqrt(max(gg, 0.0)),
-            rn,
-            step,
-            time.perf_counter() - t_start,
-            x.copy() if cfg.record_iterates else None,
-        )
+        record(len(trace.iters))
     return SolveResult(x=x, mu=mu, q=q, status=status, trace=trace, reason=reason)
 
 

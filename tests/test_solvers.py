@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from spheretrs import (
     BtrsProblem,
     DenseOp,
     DiagonalOp,
+    Preconditioner,
+    SeededMetric,
     SolverConfig,
     StandardMetric,
     TangentVector,
     armijo_step,
+    build_eig_seed,
     classify,
     double_start,
     enumerate_affine_eigenvalues,
@@ -17,12 +22,15 @@ from spheretrs import (
     in_SE,
     lpr_solve,
     lpr_transform,
+    make_phi,
     min_eigpair,
     naive_rgd,
     objective,
     rcg,
+    residual,
     rgrad,
 )
+from spheretrs.solvers import K
 
 
 def diag_problem(d, b):
@@ -193,3 +201,86 @@ def test_invalid_inner_selector():
     p = diag_problem([1.0, 3.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         lpr_solve(p, inner="newton")
+
+
+class CountingOp(DenseOp):
+    """DenseOp that counts its operator applications."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.applies = 0
+
+    def _matvec(self, v):
+        self.applies += 1
+        return super()._matvec(v)
+
+
+class CountingSeed(Preconditioner):
+    """Seed preconditioner that counts its shifted solves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lambda_min_m = inner.lambda_min_m
+        self.solves = 0
+
+    def apply(self, v):
+        return self.inner.apply(v)
+
+    def solve(self, shift, v):
+        self.solves += 1
+        return self.inner.solve(shift, v)
+
+
+def _counted_run(kind, cfg, gap=1.0):
+    p0, _ = generate(GenSpec(n=30, gap=gap, seed=3))
+    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
+    x0 = -p.b / p.b_norm
+    pre = None
+    if kind == "naive_rgd":
+        run = lambda: naive_rgd(p, x0, cfg)
+    elif kind == "rcg":
+        run = lambda: rcg(StandardMetric(), p, x0, cfg)
+    else:
+        pre = CountingSeed(build_eig_seed(p.a, rank=5, seed=0))
+        m = SeededMetric(pre, make_phi(pre, p))  # the norm estimate applies A
+        run = lambda: rcg(m, p, x0, cfg)
+    p.a.applies = 0
+    res = run()
+    return p, res, p.a.applies, pre
+
+
+def _assert_fresh(p, res):
+    ax = p.a.to_dense() @ res.x
+    mu = float(res.x @ ax) + float(p.b @ res.x)
+    q = 0.5 * float(res.x @ ax) + float(p.b @ res.x)
+    rn = float(np.linalg.norm(residual(p, res.x, res.mu)))
+    assert abs(res.mu - mu) <= 1e-12 * max(1.0, abs(mu))
+    assert abs(res.q - q) <= 1e-12 * max(1.0, abs(q))
+    assert res.trace.q[-1] == res.q
+    assert abs(res.trace.res_norm[-1] - rn) <= 1e-12 * rn
+
+
+@pytest.mark.parametrize("kind", ["naive_rgd", "rcg", "seeded_rcg"])
+def test_one_apply_per_step_and_fresh_results(kind):
+    _, conv, _, _ = _counted_run(kind, SolverConfig())
+    assert conv.converged
+    cfgs = {
+        "converged": SolverConfig(),
+        "max_iter": SolverConfig(max_iter=len(conv.trace.iters) - 3),
+        "failed": SolverConfig(tol_grad=0.0, tol_res=0.0, max_iter=100000),
+    }
+    for status, cfg in cfgs.items():
+        p, res, applies, _ = _counted_run(kind, cfg)
+        assert res.status == status
+        steps = len(res.trace.iters) - 1
+        assert applies <= steps + math.ceil(steps / K) + 2
+        _assert_fresh(p, res)
+
+
+def test_seeded_rcg_two_shifted_solves_per_step():
+    _, res, _, pre = _counted_run("seeded_rcg", SolverConfig(), gap=1e-2)
+    assert res.converged
+    steps = len(res.trace.iters) - 1
+    assert steps > 5
+    # Gradient: M_x^{-1}(Ax + b) and M_x^{-1} x; the CG transport reuses the latter.
+    assert pre.solves <= 2 * (steps + math.ceil(steps / K) + 2)
