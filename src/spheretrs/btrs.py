@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from .linop import SymOp
+from .linop import SymOp, require_finite
 
 #: Relative threshold below which |u'b| is treated as zero when deciding
 #: whether any minimal eigenvector of A has a nonzero component along b.
@@ -31,6 +31,7 @@ class BtrsProblem:
         b = np.ascontiguousarray(self.b, dtype=float)
         if b.shape != (self.a.dim,):
             raise ValueError("b length must equal the operator dimension")
+        require_finite("b", b)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
 

@@ -31,10 +31,11 @@ import numpy as np
 
 from . import __version__
 from .btrs import BtrsProblem, objective
+from .eigmin import EigenSolverError
 from .gen import GenSpec, generate
 from .geometry import MetricScheme, SeededMetric, StandardMetric
 from .oracle import enumerate_affine_eigenvalues
-from .precond import EigSeedPrecond, build_eig_seed, make_phi
+from .precond import build_eig_seed, make_phi
 from .probio import (
     ProblemFormatError,
     load_problem,
@@ -44,6 +45,7 @@ from .probio import (
 )
 from .solvers import (
     STATUS_CONVERGED,
+    STATUS_FAILED,
     STATUS_MAX_ITER,
     SolveResult,
     SolverConfig,
@@ -57,8 +59,9 @@ from .trs import solve_trs
 _STATUS_LABEL = {
     STATUS_CONVERGED: "Converged",
     STATUS_MAX_ITER: "MaxIter",
-    "failed": "Failed",
+    STATUS_FAILED: "Failed",
 }
+_EXIT_CODE = {STATUS_CONVERGED: 0, STATUS_MAX_ITER: 2}
 
 
 def _file_sha256(path) -> str:
@@ -99,24 +102,18 @@ def _metric_from_args(args, p: BtrsProblem) -> MetricScheme:
 
 
 def _run_solver(args, p: BtrsProblem, cfg: SolverConfig) -> SolveResult:
-    m = _metric_from_args(args, p)
     if args.solver == "double-start":
-        if not isinstance(m, StandardMetric):
+        if args.precond != "none":
             raise ValueError("double-start runs with the standard metric only")
         return double_start(p, cfg)
+    m = _metric_from_args(args, p)
     if args.solver == "lpr":
         return lpr_solve(p, m, cfg=cfg)
-    if args.solver == "rgd":
-        rng = np.random.default_rng(cfg.rng_seed)
-        x0 = -p.b / p.b_norm if p.b_norm > 0 else rng.standard_normal(p.dim)
-        x0 = x0 / np.linalg.norm(x0)
-        return rgd(m, p, x0, cfg)
-    if args.solver == "rcg":
-        rng = np.random.default_rng(cfg.rng_seed)
-        x0 = -p.b / p.b_norm if p.b_norm > 0 else rng.standard_normal(p.dim)
-        x0 = x0 / np.linalg.norm(x0)
-        return rcg(m, p, x0, cfg)
-    raise ValueError(f"unknown solver {args.solver!r}")
+    rng = np.random.default_rng(cfg.rng_seed)
+    x0 = -p.b / p.b_norm if p.b_norm > 0 else rng.standard_normal(p.dim)
+    x0 = x0 / np.linalg.norm(x0)
+    run = {"rgd": rgd, "rcg": rcg}[args.solver]
+    return run(m, p, x0, cfg)
 
 
 def _result_json(res: SolveResult) -> dict:
@@ -155,11 +152,7 @@ def cmd_solve(args) -> int:
         res.trace.to_csv(args.trace)
         _write_manifest(args.trace, args, cfg, args.problem)
     print(json.dumps(_result_json(res)))
-    if res.status == STATUS_CONVERGED:
-        return 0
-    if res.status == STATUS_MAX_ITER:
-        return 2
-    return 1
+    return _EXIT_CODE.get(res.status, 1)
 
 
 def cmd_trs(args) -> int:
@@ -173,19 +166,13 @@ def cmd_trs(args) -> int:
         "case": res.case_kind,
     }
     inner = res.boundary
-    if inner is not None:
-        out["status"] = _STATUS_LABEL.get(inner.status, inner.status)
-        if args.trace:
-            inner.trace.to_csv(args.trace)
-            _write_manifest(args.trace, args, cfg, args.problem)
-    else:
-        out["status"] = "Converged"
+    status = STATUS_CONVERGED if inner is None else inner.status
+    out["status"] = _STATUS_LABEL.get(status, status)
+    if inner is not None and args.trace:
+        inner.trace.to_csv(args.trace)
+        _write_manifest(args.trace, args, cfg, args.problem)
     print(json.dumps(out))
-    if out["status"] == "Converged":
-        return 0
-    if out["status"] == "MaxIter":
-        return 2
-    return 1
+    return _EXIT_CODE.get(status, 1)
 
 
 def cmd_oracle(args) -> int:
@@ -381,7 +368,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, FileNotFoundError, ValueError, EigenSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,30 +33,85 @@ def _same_base(eta: TangentVector, xi: TangentVector) -> None:
         raise ValueError("tangent vectors have different base points")
 
 
-class MetricScheme:
-    """Map x -> M_x defining the Riemannian metric in ambient coordinates."""
+class LocalMetric:
+    """M_x frozen at one point x: the metric, its inverse and the
+    M_x-orthogonal projection onto the tangent space at x."""
 
-    def mapply(self, p: BtrsProblem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    __slots__ = ("x",)
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def mapply(self, v: np.ndarray) -> np.ndarray:
         """M_x v."""
         raise NotImplementedError
 
-    def minv(self, p: BtrsProblem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def minv(self, v: np.ndarray) -> np.ndarray:
         """M_x^{-1} v."""
         raise NotImplementedError
 
-    def shift_at(self, p: BtrsProblem, x: np.ndarray, mu: float | None = None) -> float:
-        """Scalar state of the metric at x (used to reuse mu_x computations)."""
-        return 0.0
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """P_x v = v - (x'v / x'M_x^{-1}x) M_x^{-1}x."""
+        raise NotImplementedError
+
+
+class _EuclideanLocal(LocalMetric):
+    __slots__ = ()
+
+    def mapply(self, v):
+        return v
+
+    def minv(self, v):
+        return v
+
+    def project(self, v):
+        return v - self.x * float(self.x @ v)
+
+
+class _SeededLocal(LocalMetric):
+    # M_x^{-1} x and x'M_x^{-1}x are computed on first use, so a caller
+    # that only needs mapply (the metric inner product) makes no shifted solve.
+    __slots__ = ("seed", "shift", "_minv_x", "_x_minv_x")
+
+    def __init__(self, x, seed: Preconditioner, shift: float):
+        super().__init__(x)
+        self.seed = seed
+        self.shift = shift
+        self._minv_x = None
+
+    def mapply(self, v):
+        return self.seed.apply(v) + self.shift * v
+
+    def minv(self, v):
+        return self.seed.solve(self.shift, v)
+
+    def project(self, v):
+        if self._minv_x is None:
+            self._minv_x = self.minv(self.x)
+            self._x_minv_x = float(self.x @ self._minv_x)
+        return v - (float(self.x @ v) / self._x_minv_x) * self._minv_x
+
+
+class MetricScheme:
+    """Map x -> M_x defining the Riemannian metric in ambient coordinates."""
+
+    #: Whether the descent loop opens each line search with the capped step
+    #: 1/||b||, which keeps the iterates of an S_E start inside S_E; a
+    #: scheme without it opens with the model minimizer along the path.
+    capped_step = False
+
+    def at(self, p: BtrsProblem, x: np.ndarray, mu: float | None = None) -> LocalMetric:
+        """M_x at the unit vector x; ``mu`` is mu_x when the caller has it."""
+        raise NotImplementedError
 
 
 class StandardMetric(MetricScheme):
     """M_x = I; the sphere as a Riemannian submanifold of Euclidean space."""
 
-    def mapply(self, p, x, v):
-        return v
+    capped_step = True
 
-    def minv(self, p, x, v):
-        return v
+    def at(self, p, x, mu=None):
+        return _EuclideanLocal(x)
 
 
 class SeededMetric(MetricScheme):
@@ -66,20 +121,10 @@ class SeededMetric(MetricScheme):
         self.seed = seed
         self.phi = phi
 
-    def shift_at(self, p, x, mu=None):
+    def at(self, p, x, mu=None):
         if mu is None:
             mu = affine_rayleigh(p, x)
-        return self.phi(-mu)
-
-    def mapply(self, p, x, v, shift: float | None = None):
-        if shift is None:
-            shift = self.shift_at(p, x)
-        return self.seed.apply(v) + shift * v
-
-    def minv(self, p, x, v, shift: float | None = None):
-        if shift is None:
-            shift = self.shift_at(p, x)
-        return self.seed.solve(shift, v)
+        return _SeededLocal(x, self.seed, self.phi(-mu))
 
 
 def metric_inner(
@@ -91,18 +136,13 @@ def metric_inner(
 ) -> float:
     """g_x(eta, xi) = eta' M_x xi."""
     _same_base(eta, xi)
-    return float(eta.dir @ m.mapply(p, np.asarray(x, dtype=float), xi.dir))
+    return float(eta.dir @ m.at(p, np.asarray(x, dtype=float)).mapply(xi.dir))
 
 
 def project_tangent(m: MetricScheme, p: BtrsProblem, x, v) -> TangentVector:
     """Metric-orthogonal projection of an ambient vector onto the tangent space."""
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if isinstance(m, StandardMetric):
-        return TangentVector(x, v - x * float(x @ v))
-    minv_x = m.minv(p, x, x)
-    denom = float(x @ minv_x)
-    return TangentVector(x, v - (float(x @ v) / denom) * minv_x)
+    return TangentVector(x, m.at(p, x).project(np.asarray(v, dtype=float)))
 
 
 def retract(x, eta: TangentVector) -> np.ndarray:
@@ -116,18 +156,8 @@ def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> T
     x = np.asarray(x, dtype=float)
     if ax is None:
         ax = p.a.apply(x)
-    egrad = ax + p.b
-    if isinstance(m, StandardMetric):
-        return TangentVector(x, egrad - x * float(x @ egrad))
-    if isinstance(m, SeededMetric):
-        mu = float(x @ ax) + float(p.b @ x)
-        shift = m.shift_at(p, x, mu)
-        u = m.minv(p, x, egrad, shift)
-        y = m.minv(p, x, x, shift)
-    else:
-        u = m.minv(p, x, egrad)
-        y = m.minv(p, x, x)
-    return TangentVector(x, u - (float(x @ u) / float(x @ y)) * y)
+    lm = m.at(p, x, affine_rayleigh(p, x, ax))
+    return TangentVector(x, lm.project(lm.minv(ax + p.b)))
 
 
 def transport(
@@ -144,17 +174,8 @@ def hess_apply_stationary(
 ) -> TangentVector:
     """Riemannian Hessian at a stationary point: P_x M_x^{-1}[A - mu*I] eta."""
     xbar = np.asarray(xbar, dtype=float)
-    w = p.a.apply(eta.dir) - mu * eta.dir
-    if isinstance(m, StandardMetric):
-        return TangentVector(xbar, w - xbar * float(xbar @ w))
-    if isinstance(m, SeededMetric):
-        shift = m.phi(-mu)  # mu_xbar == mu at a stationary point
-        u = m.minv(p, xbar, w, shift)
-        y = m.minv(p, xbar, xbar, shift)
-    else:
-        u = m.minv(p, xbar, w)
-        y = m.minv(p, xbar, xbar)
-    return TangentVector(xbar, u - (float(xbar @ u) / float(xbar @ y)) * y)
+    lm = m.at(p, xbar, mu)  # mu_xbar == mu at a stationary point
+    return TangentVector(xbar, lm.project(lm.minv(p.a.apply(eta.dir) - mu * eta.dir)))
 
 
 def tangent_basis(x) -> np.ndarray:

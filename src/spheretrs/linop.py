@@ -25,6 +25,12 @@ def _as_vector(v, n: int) -> np.ndarray:
     return v
 
 
+def require_finite(name: str, value) -> None:
+    """Reject NaN or infinite entries in input ``name`` before any use."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 class SymOp:
     """Abstract symmetric linear operator on R^n.
 
@@ -96,6 +102,7 @@ class DenseOp(SymOp):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense operator requires a square matrix")
+        require_finite("matrix", matrix)
         sym = 0.5 * (matrix + matrix.T)
         denom = max(np.linalg.norm(matrix, "fro"), 1e-300)
         if np.linalg.norm(matrix - sym, "fro") / denom > 1e-12:
@@ -117,6 +124,7 @@ class DiagonalOp(SymOp):
         diag = np.asarray(diag, dtype=float)
         if diag.ndim != 1:
             raise ValueError("diagonal must be a vector")
+        require_finite("diag", diag)
         super().__init__(diag.shape[0])
         self.diag = diag
 
@@ -135,6 +143,9 @@ class EigLowRankOp(SymOp):
         d = np.asarray(d, dtype=float)
         if u.ndim != 2 or d.ndim != 1 or u.shape[1] != d.shape[0]:
             raise ValueError("factor U must be n-by-r with r eigenvalues")
+        require_finite("u", u)
+        require_finite("d", d)
+        require_finite("shift", shift)
         r = u.shape[1]
         if np.linalg.norm(u.T @ u - np.eye(r), "fro") > 1e-10:
             raise ValueError("factor U is not orthonormal (||U^T U - I|| > 1e-10)")
@@ -163,12 +174,3 @@ class CallbackOp(SymOp):
             raise DimensionMismatchError("callback returned wrong shape")
         return out
 
-
-def apply(op: SymOp, v) -> np.ndarray:
-    """Return A v for the represented A."""
-    return op.apply(v)
-
-
-def quadratic_form(op: SymOp, v) -> float:
-    """Return v^T A v, computed with one apply."""
-    return op.quadratic_form(v)

@@ -2,9 +2,9 @@
 double-start strategy, and the restart scheme driven by the reflection
 across a minimal eigenvector.
 
-All solvers share one descent loop with Armijo backtracking.  The initial
-trial step is 1/||b|| whenever the step cap is enabled: steps below that
-bound keep iterates inside the set S_E = {x : (v'b)(v'x) <= 0 for all
+All solvers share one descent loop with Armijo backtracking.  Under the
+standard metric the initial trial step is 1/||b||: steps below that bound
+keep iterates inside the set S_E = {x : (v'b)(v'x) <= 0 for all
 minimal eigenvectors v}, which is what makes the -b/||b|| start reach the
 global optimum in the easy case.
 
@@ -26,13 +26,7 @@ import numpy as np
 
 from .btrs import BtrsProblem, classify, residual
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import (
-    MetricScheme,
-    SeededMetric,
-    StandardMetric,
-    TangentVector,
-    metric_inner,
-)
+from .geometry import MetricScheme, StandardMetric, TangentVector, metric_inner
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -42,6 +36,9 @@ STATUS_FAILED = "failed"
 #: ``A y = (A x + t A d) / ||x + t d||`` carried by the descent loop.
 K = 50
 
+#: Reflections :func:`lpr_solve` makes before it reports a pathological failure.
+MAX_RESTARTS = 10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -50,8 +47,6 @@ class SolverConfig:
     max_iter: int = 10000
     armijo_tau: float = 0.5
     armijo_c: float = 1e-4
-    step_cap_enabled: bool = True
-    cg_restart: int | None = None  # default: problem dimension
     rng_seed: int = 0
     record_iterates: bool = False
 
@@ -141,8 +136,8 @@ def haar_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _initial_step(p: BtrsProblem, cfg: SolverConfig) -> float:
-    if p.b_norm > 0 and cfg.step_cap_enabled:
+def _initial_step(p: BtrsProblem) -> float:
+    if p.b_norm > 0:
         return 1.0 / p.b_norm
     # b = 0 makes the cap vacuous; scale by the curvature instead.
     return 2.0 / max(1e-16, p.a.norm_estimate())
@@ -163,13 +158,13 @@ def armijo_step(
     ax = p.a.apply(x)
     q0 = 0.5 * float(x @ ax) + float(p.b @ x)
     gg = metric_inner(m, p, x, eta, eta)
-    t, x_next, _, _ = _armijo(m, p, x, q0, ax, -eta.dir, gg, cfg)
+    t, x_next, _, _ = _armijo(p, x, q0, ax, -eta.dir, gg, cfg)
     if t is None:
         raise RuntimeError("line search stalled (step below 1e-18)")
     return t, x_next
 
 
-def _armijo(m, p, x, q0, ax, d, decrease, cfg, exact_init=False):
+def _armijo(p, x, q0, ax, d, decrease, cfg, exact_init=False):
     """Backtracking line search along y(t) = (x + t d)/||x + t d||; accept
     when q(x) - q(y) >= t * c * decrease.  Returns (t, y, ay, qy) or
     (None,)*4 when no acceptable step exists above 1e-18.
@@ -201,7 +196,7 @@ def _armijo(m, p, x, q0, ax, d, decrease, cfg, exact_init=False):
     dad = float(d @ ad)
     xd = float(x @ d)
     dd = float(d @ d)
-    t = _initial_step(p, cfg)
+    t = _initial_step(p)
     if exact_init:
         curv = dad - dd * (xax + bx)
         if de < 0.0 and curv > 0.0:
@@ -245,44 +240,23 @@ def _descent_loop(
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
     tol_gg = cfg.tol_grad**2
-    cg_restart = cfg.cg_restart if cfg.cg_restart is not None else p.dim
-    standard = isinstance(m, StandardMetric)
-    seeded = isinstance(m, SeededMetric)
 
     trace = SolveTrace()
     t_start = time.perf_counter()
 
-    def gradient(x, ax, mu):
-        """(direction form, M_x . tangent form, M_x^{-1} x) of the gradient."""
-        egrad = ax + b
-        if standard:
-            g = egrad - x * float(x @ egrad)
-            return g, g, x
-        if seeded:
-            shift = m.phi(-mu)
-            u = m.minv(p, x, egrad, shift)
-            y = m.minv(p, x, x, shift)
-        else:
-            u = m.minv(p, x, egrad)
-            y = m.minv(p, x, x)
-        g = u - (float(x @ u) / float(x @ y)) * y
-        if seeded:
-            mg = m.mapply(p, x, g, shift)
-        else:
-            mg = m.mapply(p, x, g)
-        return g, mg, y
-
     def at(x, ax, q=None):
-        """State at x from ``ax``: (ax, q, mu, g, M_x g, M_x^{-1} x, g(g, g),
+        """State at x from ``ax``: (ax, q, mu, M_x, g, M_x g, g(g, g),
         residual norm); q is computed afresh unless given."""
         bx = float(b @ x)
         xax = float(x @ ax)
         mu = xax + bx
-        g, mg, minv_x = gradient(x, ax, mu)
+        lm = m.at(p, x, mu)
+        g = lm.project(lm.minv(ax + b))
+        mg = lm.mapply(g)
         if q is None:
             q = 0.5 * xax + bx
         rn = float(np.linalg.norm(mu * x - ax - b))
-        return ax, q, mu, g, mg, minv_x, float(g @ mg), rn
+        return ax, q, mu, lm, g, mg, float(g @ mg), rn
 
     def record(it):
         trace.record(
@@ -297,7 +271,7 @@ def _descent_loop(
 
     x = np.asarray(x0, dtype=float)
     x = x / np.linalg.norm(x)
-    ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+    ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
     d = -g
     dg = -gg  # g(d, grad)
     since_reset = 0
@@ -310,7 +284,7 @@ def _descent_loop(
         done = gg <= tol_gg and rn <= eff_tol_res
         if done and stale:
             # The test passed on the recurrence: decide on a fresh A x.
-            ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+            ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
             stale = 0
             done = gg <= tol_gg and rn <= eff_tol_res
             if not done:
@@ -320,9 +294,7 @@ def _descent_loop(
             status = STATUS_CONVERGED
             break
 
-        t, y, ay, qy = _armijo(
-            m, p, x, q, ax, d, -dg, cfg, exact_init=not standard
-        )
+        t, y, ay, qy = _armijo(p, x, q, ax, d, -dg, cfg, exact_init=not m.capped_step)
         if t is None:
             status = STATUS_FAILED
             reason = "stalled"
@@ -335,38 +307,24 @@ def _descent_loop(
         if stale == K:
             ay, qy, stale = p.a.apply(y), None, 0
         x = y
-        ax, q, mu, g, mg, minv_x, gg, rn = at(x, ay, qy)
+        ax, q, mu, lm, g, mg, gg, rn = at(x, ay, qy)
 
         if use_cg:
             since_reset += 1
             # Transport the previous gradient and direction by projection.
-            if standard:
-                tg = g_old - x * float(x @ g_old)
-                td = d_old - x * float(x @ d_old)
-                mtg = tg
-            else:
-                denom = float(x @ minv_x)
-                tg = g_old - (float(x @ g_old) / denom) * minv_x
-                td = d_old - (float(x @ d_old) / denom) * minv_x
-                if seeded:
-                    mtg = m.mapply(p, x, tg, m.phi(-mu))
-                else:
-                    mtg = m.mapply(p, x, tg)
+            tg = lm.project(g_old)
+            td = lm.project(d_old)
+            mtg = lm.mapply(tg)
             # Polak-Ribiere+ with metric inner products.
             beta = float(g @ mg - g @ mtg) / gg_old if gg_old > 0 else 0.0
             beta = max(0.0, beta)
             d = -g + beta * td
             dg = float(d @ mg)
-            if dg >= 0.0 or since_reset >= cg_restart:
-                d = -g
-                dg = -gg
-                since_reset = 0
-        else:
-            d = -g
-            dg = -gg
+        if not use_cg or dg >= 0.0 or since_reset >= p.dim:
+            d, dg, since_reset = -g, -gg, 0
 
     if stale:
-        ax, q, mu, g, mg, minv_x, gg, rn = at(x, p.a.apply(x))
+        ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
         if status == STATUS_FAILED:
             # The last row holds this same point: restate it from the fresh A x.
             trace.q[-1] = q
@@ -376,17 +334,6 @@ def _descent_loop(
         # The loop exhausted its budget after taking a step; log the final point.
         record(len(trace.iters))
     return SolveResult(x=x, mu=mu, q=q, status=status, trace=trace, reason=reason)
-
-
-def naive_rgd(
-    p: BtrsProblem,
-    x0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
-    res_cap: Optional[float] = None,
-) -> SolveResult:
-    """Riemannian gradient descent with the standard metric and radial
-    retraction; the building block of the double-start strategy."""
-    return _descent_loop(StandardMetric(), p, x0, cfg, use_cg=False, res_cap=res_cap)
 
 
 def rcg(
@@ -411,6 +358,17 @@ def rgd(
     return _descent_loop(m, p, x0, cfg, use_cg=False, res_cap=res_cap)
 
 
+def naive_rgd(
+    p: BtrsProblem,
+    x0: np.ndarray,
+    cfg: SolverConfig = SolverConfig(),
+    res_cap: Optional[float] = None,
+) -> SolveResult:
+    """Riemannian gradient descent with the standard metric and radial
+    retraction; the building block of the double-start strategy."""
+    return rgd(StandardMetric(), p, x0, cfg, res_cap)
+
+
 def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run gradient descent from -b/||b|| and from a random sphere point,
     return the better result.  The first start covers the easy case (it
@@ -431,19 +389,11 @@ def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveRes
     ok = [r for r in results if r.status != STATUS_FAILED]
     if not ok:
         best = results[0]
-        return replace(best, trace=trace)
-    if len(ok) == 2 and abs(ok[0].q - ok[1].q) <= 1e-14 * max(1.0, abs(ok[0].q)):
+    elif len(ok) == 2 and abs(ok[0].q - ok[1].q) <= 1e-14 * max(1.0, abs(ok[0].q)):
         best = ok[0]  # tie: prefer the deterministic S_E start
     else:
         best = min(ok, key=lambda r: r.q)
-    return SolveResult(
-        x=best.x,
-        mu=best.mu,
-        q=best.q,
-        status=best.status,
-        trace=trace,
-        reason=best.reason,
-    )
+    return replace(best, trace=trace)
 
 
 def lpr_transform(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -461,7 +411,6 @@ def lpr_solve(
     cfg: SolverConfig = SolverConfig(),
     eig: Optional[MinEigResult] = None,
     x0: Optional[np.ndarray] = None,
-    max_restarts: int = 10,
 ) -> SolveResult:
     """Globally convergent solver built on reflection restarts.
 
@@ -480,12 +429,9 @@ def lpr_solve(
     case = classify(p, eig)
 
     if not case.is_easy:
-        start = x0 if x0 is not None else haar_unit(p.dim, rng)
-        res = run(m, p, start, cfg)
-        return res
+        return run(m, p, x0 if x0 is not None else haar_unit(p.dim, rng), cfg)
 
     u = case.u
-    alpha = case.alpha
     if x0 is None:
         # Deterministic start inside S_E (and S_H): the minimal eigenvector
         # signed against b.
@@ -494,18 +440,14 @@ def lpr_solve(
     trace = SolveTrace()
     restarts = 0
     while True:
-        res = run(m, p, x, cfg, res_cap=alpha / 2.0)
+        res = run(m, p, x, cfg, res_cap=case.alpha / 2.0)
         trace.extend(res.trace)
-        if res.status == STATUS_FAILED:
-            return replace(res, trace=trace, restarts=restarts)
-        if res.mu < eig.lambda_min:
+        if res.status == STATUS_FAILED or res.mu < eig.lambda_min:
             return replace(res, trace=trace, restarts=restarts)
         restarts += 1
-        if restarts > max_restarts:
-            return SolveResult(
-                x=res.x,
-                mu=res.mu,
-                q=res.q,
+        if restarts > MAX_RESTARTS:
+            return replace(
+                res,
                 status=STATUS_FAILED,
                 trace=trace,
                 restarts=restarts,

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from spheretrs import BtrsProblem, DiagonalOp, save_problem
+from spheretrs import BtrsProblem, DiagonalOp, EigenSolverError, save_problem
 from spheretrs.cli import main
 
 
@@ -97,3 +98,39 @@ def test_bench_rejects_bad_solver_list(tmp_path, capsys):
     rc = main(["bench", "--solvers", "warp", "--out-dir", str(tmp_path / "b")])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.fixture
+def small_problem(tmp_path, capsys):
+    out = tmp_path / "prob.json"
+    main(["generate", "--n", "20", "--gap", "1.0", "--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("precond", ["none", "eigseed"])
+@pytest.mark.parametrize("solver", ["rgd", "rcg", "lpr"])
+def test_solve_each_solver_and_metric(small_problem, capsys, solver, precond):
+    rc = main([
+        "solve", str(small_problem), "--solver", solver, "--precond", precond,
+        "--rank", "4", "--oversample", "4",
+    ])
+    res = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert res["status"] == "Converged"
+
+
+def test_double_start_rejects_eigseed(small_problem, capsys):
+    rc = main(["solve", str(small_problem), "--solver", "double-start", "--precond", "eigseed"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eigensolver_error_exit_code(small_problem, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigenSolverError("no convergence", 0.0, np.zeros(20))
+
+    monkeypatch.setattr("spheretrs.cli.lpr_solve", fail)
+    rc = main(["solve", str(small_problem), "--solver", "lpr"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: no convergence")

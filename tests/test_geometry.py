@@ -83,7 +83,7 @@ def test_project_tangent_seeded_hand_value():
     phi = PhiFilter(floor=1.0, smoothing=1e-12)
     m = SeededMetric(pre, phi)
     x = np.array([1.0, 0.0])
-    out = m.mapply(p, x, np.array([1.0, 1.0]), shift=1.0)
+    out = m.at(p, x).mapply(np.array([1.0, 1.0]))
     assert np.allclose(out, [1.0, 4.0])
     proj = project_tangent(m, p, x, np.array([1.0, 1.0]))
     assert np.allclose(proj.dir, [0.0, 1.0], atol=1e-9)

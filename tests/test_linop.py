@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spheretrs import (
+    BtrsProblem,
     CallbackOp,
     DenseOp,
     DiagonalOp,
@@ -66,3 +67,20 @@ def test_norm_estimate_close_to_spectral_norm():
     a = DiagonalOp(d)
     est = a.norm_estimate(n_iter=200)
     assert est == pytest.approx(7.0, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("matrix", lambda bad: DenseOp(np.array([[1.0, bad], [bad, 2.0]]))),
+        ("diag", lambda bad: DiagonalOp(np.array([1.0, bad]))),
+        ("u", lambda bad: EigLowRankOp(np.array([[1.0, bad], [0.0, 1.0]]), np.ones(2))),
+        ("d", lambda bad: EigLowRankOp(np.eye(2), np.array([1.0, bad]))),
+        ("shift", lambda bad: EigLowRankOp(np.eye(2), np.ones(2), shift=bad)),
+        ("b", lambda bad: BtrsProblem(a=DiagonalOp(np.ones(2)), b=np.array([bad, 0.0]))),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_input(field, build, bad):
+    with pytest.raises(ValueError, match=f"^{field} has non-finite"):
+        build(bad)

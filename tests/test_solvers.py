@@ -23,6 +23,7 @@ from spheretrs import (
     lpr_solve,
     lpr_transform,
     make_phi,
+    metric_inner,
     min_eigpair,
     naive_rgd,
     objective,
@@ -284,3 +285,17 @@ def test_seeded_rcg_two_shifted_solves_per_step():
     assert steps > 5
     # Gradient: M_x^{-1}(Ax + b) and M_x^{-1} x; the CG transport reuses the latter.
     assert pre.solves <= 2 * (steps + math.ceil(steps / K) + 2)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_loop_gradient_matches_geometry(seeded):
+    p, _ = generate(GenSpec(n=30, gap=1.0, seed=3))
+    m = StandardMetric()
+    if seeded:
+        pre = build_eig_seed(p.a, rank=5, seed=0)
+        m = SeededMetric(pre, make_phi(pre, p))
+    res = rcg(m, p, -p.b / p.b_norm, SolverConfig(max_iter=1, record_iterates=True))
+    x = res.trace.iterates[0]  # the start as the loop normalized it
+    g = rgrad(m, p, x)
+    want = math.sqrt(metric_inner(m, p, x, g, g))
+    assert res.trace.grad_norm[0] == pytest.approx(want, rel=1e-12)
