@@ -58,7 +58,8 @@ def min_eigpair(
     Ritz values within ``10*tol`` (relative) of the smallest are grouped
     into the returned basis, approximating the minimal eigenspace when the
     eigenvalue is numerically multiple.  ``block > 1`` is what makes that
-    detection possible.
+    detection possible.  Raises ``ValueError`` when the operator returns a
+    NaN or an infinity.
     """
     n = a.dim
     if tol <= 0:
@@ -85,6 +86,9 @@ def min_eigpair(
                 break
         basis = np.hstack([basis, v])
         av = np.column_stack([a.apply(v[:, j]) for j in range(v.shape[1])])
+        if not np.isfinite(av).all():
+            # One O(n*block) test per iteration instead of one per matvec.
+            raise ValueError("operator output is non-finite (NaN or infinity)")
         a_basis = np.hstack([a_basis, av])
 
         h = basis.T @ a_basis

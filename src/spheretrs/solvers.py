@@ -18,6 +18,7 @@ recurrence.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -26,7 +27,7 @@ import numpy as np
 
 from .btrs import BtrsProblem, classify, residual
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import MetricScheme, StandardMetric, TangentVector, metric_inner
+from .geometry import MetricScheme, StandardMetric, TangentVector
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -156,8 +157,10 @@ def armijo_step(
     sufficient-decrease measure); the step taken is R_x(-t eta).
     """
     ax = p.a.apply(x)
-    q0 = 0.5 * float(x @ ax) + float(p.b @ x)
-    gg = metric_inner(m, p, x, eta, eta)
+    xax, bx = float(x @ ax), float(p.b @ x)
+    q0 = 0.5 * xax + bx
+    # M_x from the mu of the A x in hand: metric_inner would recompute it.
+    gg = float(eta.dir @ m.at(p, x, xax + bx).mapply(eta.dir))
     t, x_next, _, _ = _armijo(p, x, q0, ax, -eta.dir, gg, cfg)
     if t is None:
         raise RuntimeError("line search stalled (step below 1e-18)")
@@ -233,7 +236,9 @@ def _descent_loop(
     recurrence value is repeated on a fresh ``A x``; if it then fails, the
     loop continues from the steepest-descent direction.  A ``max_iter`` or
     stalled return is refreshed too, so the result and the final trace row
-    carry a fresh ``mu``, ``q`` and residual.
+    carry a fresh ``mu``, ``q`` and residual.  A ``mu`` that is not finite
+    (the operator returned a NaN or an infinity) ends the loop with status
+    ``failed`` and reason ``non-finite``.
     """
     b = p.b
     eff_tol_res = cfg.tol_res * max(1.0, p.b_norm)
@@ -289,6 +294,9 @@ def _descent_loop(
             done = gg <= tol_gg and rn <= eff_tol_res
             if not done:
                 d, dg, since_reset = -g, -gg, 0
+        if not math.isfinite(mu):
+            status, reason = STATUS_FAILED, "non-finite"
+            break
         record(it)
         if done:
             status = STATUS_CONVERGED
@@ -323,9 +331,11 @@ def _descent_loop(
         if not use_cg or dg >= 0.0 or since_reset >= p.dim:
             d, dg, since_reset = -g, -gg, 0
 
-    if stale:
+    if stale and reason != "non-finite":
         ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
-        if status == STATUS_FAILED:
+        if not math.isfinite(mu):
+            status, reason = STATUS_FAILED, "non-finite"
+        elif status == STATUS_FAILED:
             # The last row holds this same point: restate it from the fresh A x.
             trace.q[-1] = q
             trace.grad_norm[-1] = np.sqrt(max(gg, 0.0))

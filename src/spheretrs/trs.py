@@ -7,6 +7,11 @@ dodges the interior test entirely by lifting to dimension n+1 with
 A_hat = diag(0, A) and b_hat = (0; b): the added zero eigenvalue makes
 lambda_min(A_hat) <= 0, so the lifted sphere problem always covers the
 ball problem, with the first coordinate absorbing any slack ||x|| < 1.
+
+The spectrum of A_hat is {0} and spec(A), with eigenvectors e_1 and
+(0, v).  So the lift's minimal eigenpair is A's, lifted, with e_1 added
+when lambda_min(A) is 0 to the eigensolver's cluster tolerance: it costs no
+operator application, and the lift is solved by ``lpr_solve`` on it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .btrs import BtrsProblem, classify, objective
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import StandardMetric
 from .linop import SymOp
-from .solvers import SolveResult, SolverConfig, double_start, lpr_solve, naive_rgd
+from .solvers import SolveResult, SolverConfig, lpr_solve, naive_rgd
 
 
 class AugmentedOp(SymOp):
@@ -42,6 +47,20 @@ def augment(p: BtrsProblem) -> BtrsProblem:
     """Lift min q(x) over ||x|| <= 1 to a sphere problem in R^{n+1}."""
     b_hat = np.concatenate(([0.0], p.b))
     return BtrsProblem(a=AugmentedOp(p.a), b=b_hat)
+
+
+def lift_eigpair(eig: MinEigResult) -> MinEigResult:
+    """The minimal eigenpair of diag(0, A) from A's, for lambda_min(A) <= 0,
+    with no operator application: each basis vector v becomes (0, v), and
+    e_1 joins the cluster when lambda_min(A) lies within the cluster
+    tolerance of 0 that :func:`~spheretrs.eigmin.min_eigpair` uses."""
+    lam = eig.lambda_min
+    basis = [np.concatenate(([0.0], v)) for v in eig.basis]
+    if -lam <= 10.0 * eig.tol_eig * max(1.0, abs(lam)):
+        e1 = np.zeros(basis[0].size)
+        e1[0] = 1.0
+        basis.append(e1)
+    return MinEigResult(lam, basis, eig.tol_eig, 0)
 
 
 def psd_init(p_hat: BtrsProblem) -> np.ndarray:
@@ -125,7 +144,12 @@ def solve_trs(
 
 
 def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> TrsResult:
-    """Solve the ball problem through the (n+1)-dimensional sphere lift."""
+    """Solve the ball problem through the (n+1)-dimensional sphere lift.
+
+    When A is indefinite the lift's minimal eigenpair is A's (plus e_1 when
+    lambda_min(A) is numerically 0, see :func:`lift_eigpair`), so the lift
+    is solved by ``lpr_solve`` with no second eigensolve.
+    """
     p_hat = augment(p)
     if eig.lambda_min >= -1e-10:
         # A is (numerically) PSD: the lift is hard-case with a known good
@@ -133,8 +157,8 @@ def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> Tr
         res = naive_rgd(p_hat, psd_init(p_hat), cfg)
         case_kind = "hard"
     else:
-        res = double_start(p_hat, cfg)
-        eig_hat = min_eigpair(p_hat.a, tol=1e-10, seed=cfg.rng_seed)
+        eig_hat = lift_eigpair(eig)
+        res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=eig_hat)
         case_kind = classify(p_hat, eig_hat).kind
     x = res.x[1:]
     return TrsResult(

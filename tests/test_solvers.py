@@ -5,6 +5,7 @@ import pytest
 
 from spheretrs import (
     BtrsProblem,
+    CallbackOp,
     DenseOp,
     DiagonalOp,
     Preconditioner,
@@ -299,3 +300,45 @@ def test_loop_gradient_matches_geometry(seeded):
     g = rgrad(m, p, x)
     want = math.sqrt(metric_inner(m, p, x, g, g))
     assert res.trace.grad_norm[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_armijo_step_two_applies(seeded):
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
+    m = StandardMetric()
+    if seeded:
+        pre = build_eig_seed(p.a, rank=5, seed=0)
+        m = SeededMetric(pre, make_phi(pre, p))
+    x = -p.b / p.b_norm
+    g = rgrad(m, p, x)
+    p.a.applies = 0
+    armijo_step(m, p, x, g, SolverConfig())
+    # A x for q and mu, and A d for the line search; M_x reuses that mu.
+    assert p.a.applies == 2
+
+
+def _nan_after(p0, k):
+    """``p0`` behind a callback that returns NaN from its (k+1)-th call on."""
+    a = p0.a.to_dense()
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return a @ v if calls[0] <= k else np.full(p0.dim, np.nan)
+
+    return BtrsProblem(a=CallbackOp(fn, p0.dim), b=p0.b)
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_double_start_reports_non_finite_operator(k):
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    res = double_start(_nan_after(p0, k))
+    assert res.status == "failed"
+    assert res.reason == "non-finite"
+
+
+def test_lpr_solve_rejects_non_finite_operator():
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    with pytest.raises(ValueError, match="non-finite"):
+        lpr_solve(_nan_after(p0, 3))

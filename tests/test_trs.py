@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import spheretrs.solvers as solvers_mod
+import spheretrs.trs as trs_mod
 from spheretrs import (
     BtrsProblem,
+    CallbackOp,
     DenseOp,
     DiagonalOp,
+    GenSpec,
     augment,
     classify,
     enumerate_affine_eigenvalues,
+    generate,
     min_eigpair,
     objective,
     psd_init,
@@ -116,3 +121,74 @@ def test_invalid_strategy():
     p = diag_problem([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         solve_trs(p, strategy="guess")
+
+
+def _counting(p0):
+    """``p0`` behind a callback that counts its applications in ``.calls``."""
+    a = p0.a.to_dense()
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return a @ v
+
+    op = CallbackOp(fn, p0.dim)
+    op.calls = calls
+    return BtrsProblem(a=op, b=p0.b)
+
+
+def test_lift_reuses_eigpair(monkeypatch):
+    p, _ = generate(GenSpec(n=30, gap=1e-2, seed=3))
+    counts = {"min_eigpair": 0, "double_start": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    lanczos = counted("min_eigpair", min_eigpair)
+    monkeypatch.setattr(trs_mod, "min_eigpair", lanczos)
+    monkeypatch.setattr(solvers_mod, "min_eigpair", lanczos)
+    starts = counted("double_start", solvers_mod.double_start)
+    monkeypatch.setattr(trs_mod, "double_start", starts, raising=False)
+    monkeypatch.setattr(solvers_mod, "double_start", starts)
+    res = solve_trs(p, "always_augment")
+    assert res.route == "augmented" and res.boundary.converged
+    assert counts == {"min_eigpair": 1, "double_start": 0}
+    _, q_true = trs_optimum(p)
+    assert res.q == pytest.approx(q_true, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam, has_e1", [(-5e-10, True), (-1.0, False)])
+def test_lift_eigpair_basis(lam, has_e1):
+    p = diag_problem([lam, 1.0, 2.0], [0.3, 1.0, 0.5])
+    eig = min_eigpair(p.a, tol=1e-10)
+    lifted = trs_mod.lift_eigpair(eig)
+    e1 = np.eye(4)[0]
+    assert lifted.lambda_min == eig.lambda_min
+    assert any(np.array_equal(v, e1) for v in lifted.basis) == has_e1
+    for v, w in zip(eig.basis, lifted.basis):
+        assert np.array_equal(w, np.concatenate(([0.0], v)))
+    # classify recomputes every basis residual under diag(0, A).
+    assert classify(augment(p), lifted).kind == "easy"
+
+
+def test_always_augment_matvecs_close_to_decide():
+    p0, _ = generate(GenSpec(n=200, gap=1e-2, seed=1))
+    calls = {}
+    for strategy in ("decide", "always_augment"):
+        p = _counting(p0)
+        res = solve_trs(p, strategy)
+        assert res.boundary.converged
+        calls[strategy] = p.a.calls[0]
+    assert calls["always_augment"] <= 1.2 * calls["decide"]
+
+
+def test_solve_trs_rejects_non_finite_operator():
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    p = BtrsProblem(a=CallbackOp(lambda v: np.full(20, np.nan), 20), b=p0.b)
+    for strategy in ("decide", "always_augment"):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_trs(p, strategy)
