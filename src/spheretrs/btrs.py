@@ -118,7 +118,7 @@ def classify(p: BtrsProblem, eig, eps_hard: float = EPS_HARD) -> CaseInfo:
     max_res = max(
         float(np.linalg.norm(p.a.apply(v) - eig.lambda_min * v)) for v in eig.basis
     )
-    if max_res > 10.0 * eig.tol_eig * max(1.0, abs(eig.lambda_min)):
+    if not max_res <= eig.cluster_tol:  # a NaN residual fails too
         raise ValueError(
             "eigenspace residual too large for reliable classification "
             f"({max_res:.3e})"

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 converged, 2 iteration budget exhausted, 1 any error.
 Every trace CSV gets a .manifest.json sidecar recording the command, the
-configuration and a hash of the problem file. TRSR_THREADS caps bench
-workers.
+configuration and a hash of the problem file. TRSR_THREADS (an integer
+>= 1, default 1) sets the number of bench worker threads.
 """
 
 from __future__ import annotations
@@ -239,6 +239,10 @@ def cmd_bench(args) -> int:
         print(f"error: unknown solvers {sorted(bad)}", file=sys.stderr)
         return 1
     gaps = [float(g) for g in args.gaps.split(",") if g]
+    threads = os.environ.get("TRSR_THREADS", "1")
+    if not (threads.strip().isdecimal() and int(threads) >= 1):
+        print(f"error: TRSR_THREADS must be an integer >= 1, got {threads!r}", file=sys.stderr)
+        return 1
     os.makedirs(args.out_dir, exist_ok=True)
 
     cfg_dict = {
@@ -253,20 +257,11 @@ def cmd_bench(args) -> int:
         for solver in solvers
     ]
 
-    workers = int(os.environ.get("TRSR_THREADS", "1"))
     rows = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_bench_one, t) for t in tasks]
-            for fut in futures:
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    print(f"run failed: {exc}", file=sys.stderr)
-    else:
-        for t in tasks:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        for fut in [pool.submit(_bench_one, t) for t in tasks]:
             try:
-                rows.append(_bench_one(t))
+                rows.append(fut.result())
             except Exception as exc:
                 print(f"run failed: {exc}", file=sys.stderr)
 

@@ -31,6 +31,12 @@ class MinEigResult:
     tol_eig: float
     iterations: int
 
+    @property
+    def cluster_tol(self) -> float:
+        """Distance above ``lambda_min`` within which an eigenvalue counts as
+        ``lambda_min`` itself: the one rule for the minimal eigenspace."""
+        return 10.0 * self.tol_eig * max(1.0, abs(self.lambda_min))
+
 
 def _orthonormalize(block: np.ndarray, against: np.ndarray | None) -> np.ndarray:
     """Orthogonalize columns of ``block`` against ``against`` and each other.
@@ -55,11 +61,11 @@ def min_eigpair(
 ) -> MinEigResult:
     """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
 
-    Ritz values within ``10*tol`` (relative) of the smallest are grouped
-    into the returned basis, approximating the minimal eigenspace when the
-    eigenvalue is numerically multiple.  ``block > 1`` is what makes that
-    detection possible.  Raises ``ValueError`` when the operator returns a
-    NaN or an infinity.
+    Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
+    grouped into the returned basis, approximating the minimal eigenspace
+    when the eigenvalue is numerically multiple.  ``block > 1`` is what
+    makes that detection possible.  Raises ``ValueError`` when the operator
+    returns a NaN or an infinity.
     """
     n = a.dim
     if tol <= 0:
@@ -76,7 +82,7 @@ def min_eigpair(
     best_vec = None
 
     iterations = 0
-    while iterations < max_iter and basis.shape[1] < n:
+    while iterations < max_iter:
         iterations += 1
         if v.shape[1] == 0:
             # Krylov breakdown: restart with fresh random directions in the
@@ -99,47 +105,28 @@ def min_eigpair(
         res = float(np.linalg.norm(a_ritz - theta[0] * ritz))
         best_val, best_vec = theta[0], ritz
 
-        if res <= tol * max(1.0, abs(theta[0])):
-            cluster = np.flatnonzero(
-                theta - theta[0] <= 10.0 * tol * max(1.0, abs(theta[0]))
-            )
-            vecs, ok = [], True
-            for j in cluster:
+        # Once the Krylov space is exhausted the Ritz decomposition is exact,
+        # and the residual tests are skipped.
+        exact = basis.shape[1] >= n
+        if exact or res <= tol * max(1.0, abs(theta[0])):
+            vecs: List[np.ndarray] = []
+            found = MinEigResult(float(theta[0]), vecs, tol, iterations)
+            edge = int(np.count_nonzero(theta - theta[0] <= found.cluster_tol))
+            # Every cluster vector must be converged, and so must the smallest
+            # Ritz value outside the cluster: otherwise an unresolved copy of
+            # lambda_min could still be hiding above it.
+            for j in range(edge if exact else min(edge + 1, len(theta))):
                 y = basis @ s[:, j]
-                ay = a_basis @ s[:, j]
-                if np.linalg.norm(ay - theta[j] * y) <= tol * max(1.0, abs(theta[j])):
+                if not exact and np.linalg.norm(
+                    a_basis @ s[:, j] - theta[j] * y
+                ) > tol * max(1.0, abs(theta[j])):
+                    break
+                if j < edge:
                     vecs.append(y / np.linalg.norm(y))
-                else:
-                    ok = False
-            # Certify the cluster boundary: the smallest Ritz value outside
-            # the cluster must itself be converged, otherwise an unresolved
-            # copy of lambda_min could still be hiding above it.
-            edge = len(cluster)
-            if ok and edge < len(theta):
-                y = basis @ s[:, edge]
-                ay = a_basis @ s[:, edge]
-                ok = (
-                    np.linalg.norm(ay - theta[edge] * y)
-                    <= tol * max(1.0, abs(theta[edge]))
-                )
-            if ok and vecs:
-                return MinEigResult(float(theta[0]), vecs, tol, iterations)
+            else:
+                return found
 
         v = _orthonormalize(av, basis)
-
-    if basis.shape[1] >= n:
-        # Krylov space exhausted: the Ritz decomposition is exact.
-        h = basis.T @ a_basis
-        h = 0.5 * (h + h.T)
-        theta, s = np.linalg.eigh(h)
-        cluster = np.flatnonzero(
-            theta - theta[0] <= 10.0 * tol * max(1.0, abs(theta[0]))
-        )
-        vecs = []
-        for j in cluster:
-            y = basis @ s[:, j]
-            vecs.append(y / np.linalg.norm(y))
-        return MinEigResult(float(theta[0]), vecs, tol, iterations)
 
     raise EigenSolverError(
         f"no convergence within {max_iter} iterations", float(best_val), best_vec

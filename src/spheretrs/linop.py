@@ -7,7 +7,7 @@ the :class:`SymOp` interface, so dense, diagonal, low-rank and fully opaque
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SymOp:
         if dim < 1:
             raise ValueError("operator dimension must be positive")
         self.dim = int(dim)
-        self._norm_estimate: Optional[float] = None
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -60,24 +59,23 @@ class SymOp:
         return float(v @ self._matvec(v))
 
     def norm_estimate(self, n_iter: int = 20, seed: int = 0) -> float:
-        """Spectral-norm estimate via power iteration on demand.
+        """Spectral-norm estimate by ``n_iter`` steps of power iteration.
 
         Callback operators carry no norm information, so this is the one
-        place the package ever probes for ||A||.
+        place the package ever probes for ||A||.  Nothing is cached: each
+        call costs up to ``n_iter`` operator applications.
         """
-        if self._norm_estimate is None:
-            rng = np.random.default_rng(seed)
-            v = rng.standard_normal(self.dim)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(n_iter):
-                w = self._matvec(v)
-                est = float(np.linalg.norm(w))
-                if est == 0.0:
-                    break
-                v = w / est
-            self._norm_estimate = est
-        return self._norm_estimate
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(self.dim)
+        v /= np.linalg.norm(v)
+        est = 0.0
+        for _ in range(n_iter):
+            w = self._matvec(v)
+            est = float(np.linalg.norm(w))
+            if est == 0.0:
+                break
+            v = w / est
+        return est
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator as a dense symmetric array.

@@ -161,16 +161,21 @@ def armijo_step(
     q0 = 0.5 * xax + bx
     # M_x from the mu of the A x in hand: metric_inner would recompute it.
     gg = float(eta.dir @ m.at(p, x, xax + bx).mapply(eta.dir))
-    t, x_next, _, _ = _armijo(p, x, q0, ax, -eta.dir, gg, cfg)
+    t, x_next, _, _ = _armijo(p, x, q0, ax, -eta.dir, gg, cfg, _initial_step(p))
     if t is None:
         raise RuntimeError("line search stalled (step below 1e-18)")
     return t, x_next
 
 
-def _armijo(p, x, q0, ax, d, decrease, cfg, exact_init=False):
+class _NonFinite(ValueError):
+    """The operator returned a NaN or an infinity inside a line search."""
+
+
+def _armijo(p, x, q0, ax, d, decrease, cfg, t_cap, exact_init=False):
     """Backtracking line search along y(t) = (x + t d)/||x + t d||; accept
     when q(x) - q(y) >= t * c * decrease.  Returns (t, y, ay, qy) or
-    (None,)*4 when no acceptable step exists above 1e-18.
+    (None,)*4 when no acceptable step exists above 1e-18.  Raises
+    :class:`_NonFinite` when d'Ad is not finite.
 
     One operator application per call: ``A d`` feeds the decrease scalars,
     and ``ay = (ax + t A d) / ||x + t d||`` follows by linearity, so ``ay``
@@ -182,7 +187,7 @@ def _armijo(p, x, q0, ax, d, decrease, cfg, exact_init=False):
 
     With ``exact_init`` the first trial is the minimizer of the
     second-order model along the path, t = -d'(Ax+b) / d'(A - mu_x I)d;
-    otherwise it is the capped step 1/||b||.
+    otherwise it is ``t_cap``, the capped step of :func:`_initial_step`.
     """
     c = cfg.armijo_c
     tau = cfg.armijo_tau
@@ -197,9 +202,11 @@ def _armijo(p, x, q0, ax, d, decrease, cfg, exact_init=False):
     xax = float(x @ ax)
     de = float(d @ (ax + b))
     dad = float(d @ ad)
+    if not math.isfinite(dad):
+        raise _NonFinite("operator output is non-finite (NaN or infinity)")
     xd = float(x @ d)
     dd = float(d @ d)
-    t = _initial_step(p)
+    t = t_cap
     if exact_init:
         curv = dad - dd * (xax + bx)
         if de < 0.0 and curv > 0.0:
@@ -236,15 +243,16 @@ def _descent_loop(
     recurrence value is repeated on a fresh ``A x``; if it then fails, the
     loop continues from the steepest-descent direction.  A ``max_iter`` or
     stalled return is refreshed too, so the result and the final trace row
-    carry a fresh ``mu``, ``q`` and residual.  A ``mu`` that is not finite
-    (the operator returned a NaN or an infinity) ends the loop with status
-    ``failed`` and reason ``non-finite``.
+    carry a fresh ``mu``, ``q`` and residual.  A ``mu`` or a line search's
+    d'Ad that is not finite (the operator returned a NaN or an infinity)
+    ends the loop with status ``failed`` and reason ``non-finite``.
     """
     b = p.b
     eff_tol_res = cfg.tol_res * max(1.0, p.b_norm)
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
     tol_gg = cfg.tol_grad**2
+    t_cap = _initial_step(p)
 
     trace = SolveTrace()
     t_start = time.perf_counter()
@@ -302,7 +310,13 @@ def _descent_loop(
             status = STATUS_CONVERGED
             break
 
-        t, y, ay, qy = _armijo(p, x, q, ax, d, -dg, cfg, exact_init=not m.capped_step)
+        try:
+            t, y, ay, qy = _armijo(
+                p, x, q, ax, d, -dg, cfg, t_cap, exact_init=not m.capped_step
+            )
+        except _NonFinite:
+            status, reason = STATUS_FAILED, "non-finite"
+            break
         if t is None:
             status = STATUS_FAILED
             reason = "stalled"

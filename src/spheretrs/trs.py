@@ -9,9 +9,9 @@ lambda_min(A_hat) <= 0, so the lifted sphere problem always covers the
 ball problem, with the first coordinate absorbing any slack ||x|| < 1.
 
 The spectrum of A_hat is {0} and spec(A), with eigenvectors e_1 and
-(0, v).  So the lift's minimal eigenpair is A's, lifted, with e_1 added
-when lambda_min(A) is 0 to the eigensolver's cluster tolerance: it costs no
-operator application, and the lift is solved by ``lpr_solve`` on it.
+(0, v).  So the lift's minimal eigenpair follows from A's with no operator
+application (:func:`lift_eigpair`), and every lift is solved by
+``lpr_solve`` on it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .btrs import BtrsProblem, classify, objective
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import StandardMetric
 from .linop import SymOp
-from .solvers import SolveResult, SolverConfig, lpr_solve, naive_rgd
+from .solvers import SolveResult, SolverConfig, lpr_solve
 
 
 class AugmentedOp(SymOp):
@@ -50,26 +50,27 @@ def augment(p: BtrsProblem) -> BtrsProblem:
 
 
 def lift_eigpair(eig: MinEigResult) -> MinEigResult:
-    """The minimal eigenpair of diag(0, A) from A's, for lambda_min(A) <= 0,
-    with no operator application: each basis vector v becomes (0, v), and
-    e_1 joins the cluster when lambda_min(A) lies within the cluster
-    tolerance of 0 that :func:`~spheretrs.eigmin.min_eigpair` uses."""
-    lam = eig.lambda_min
-    basis = [np.concatenate(([0.0], v)) for v in eig.basis]
-    if -lam <= 10.0 * eig.tol_eig * max(1.0, abs(lam)):
-        e1 = np.zeros(basis[0].size)
+    """The minimal eigenpair of diag(0, A) from A's, with no operator
+    application.  With ``tol = eig.cluster_tol``: each basis vector v
+    becomes (0, v) when lambda_min(A) <= tol, and e_1 joins when
+    lambda_min(A) >= -tol.  The lifted eigenvalue is lambda_min(A) in the
+    first case and 0 otherwise."""
+    lam, tol = eig.lambda_min, eig.cluster_tol
+    basis = [np.concatenate(([0.0], v)) for v in eig.basis] if lam <= tol else []
+    if lam >= -tol:
+        e1 = np.zeros(eig.basis[0].size + 1)
         e1[0] = 1.0
         basis.append(e1)
-    return MinEigResult(lam, basis, eig.tol_eig, 0)
+    return MinEigResult(lam if lam <= tol else 0.0, basis, eig.tol_eig, 0)
 
 
 def psd_init(p_hat: BtrsProblem) -> np.ndarray:
     """Start point (1, -b) / sqrt(1 + ||b||^2) for the augmented problem.
 
-    When A is positive semidefinite the augmented problem is always the
-    hard case (the new zero eigenvalue of diag(0, A) has eigenvector e_1,
-    orthogonal to (0, b)).  This point lies in both S_E and S_H, so a
-    single deterministic run reaches the global optimum.
+    When A is positive semidefinite, e_1 is a minimal eigenvector of
+    diag(0, A), orthogonal to (0, b); any other one is (0, v) with
+    lambda_min(A) = 0.  This point lies in both S_E and S_H, so a single
+    deterministic run reaches the global optimum.
     """
     b = p_hat.b[1:]
     x = np.concatenate(([1.0], -b))
@@ -146,25 +147,20 @@ def solve_trs(
 def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> TrsResult:
     """Solve the ball problem through the (n+1)-dimensional sphere lift.
 
-    When A is indefinite the lift's minimal eigenpair is A's (plus e_1 when
-    lambda_min(A) is numerically 0, see :func:`lift_eigpair`), so the lift
-    is solved by ``lpr_solve`` with no second eigensolve.
+    The lift's minimal eigenpair comes from A's (:func:`lift_eigpair`), so
+    ``lpr_solve`` solves it with no second eigensolve.  When e_1 is a
+    minimal eigenvector of the lift, the run starts from :func:`psd_init`.
     """
     p_hat = augment(p)
-    if eig.lambda_min >= -1e-10:
-        # A is (numerically) PSD: the lift is hard-case with a known good
-        # start, so a single gradient-descent run replaces the double start.
-        res = naive_rgd(p_hat, psd_init(p_hat), cfg)
-        case_kind = "hard"
-    else:
-        eig_hat = lift_eigpair(eig)
-        res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=eig_hat)
-        case_kind = classify(p_hat, eig_hat).kind
+    eig_hat = lift_eigpair(eig)
+    # e_1 is the only lifted basis vector with a nonzero first entry.
+    x0 = psd_init(p_hat) if eig_hat.basis[-1][0] else None
+    res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=eig_hat, x0=x0)
     x = res.x[1:]
     return TrsResult(
         x=x,
         q=objective(p, x),
         route="augmented",
         boundary=res,
-        case_kind=case_kind,
+        case_kind=classify(p_hat, eig_hat).kind,
     )

@@ -3,11 +3,14 @@ import pytest
 
 from spheretrs import (
     BtrsProblem,
+    CallbackOp,
     DenseOp,
     DiagonalOp,
+    GenSpec,
     affine_rayleigh,
     augment,
     classify,
+    generate,
     in_SE,
     min_eigpair,
     objective,
@@ -102,3 +105,10 @@ def test_classify_augmented_pd_is_hard():
     p_hat = augment(p)
     case = classify(p_hat, min_eigpair(p_hat.a))
     assert case.kind == "hard"
+
+
+def test_classify_rejects_nan_residual():
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    p = BtrsProblem(a=CallbackOp(lambda v: np.full(20, np.nan), 20), b=p0.b)
+    with pytest.raises(ValueError, match="eigenspace residual"):
+        classify(p, min_eigpair(p0.a))

@@ -92,6 +92,35 @@ def test_bench_command(tmp_path, capsys):
     assert len(summary) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "abc"])
+def test_bench_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("TRSR_THREADS", threads)
+    rc = main([
+        "bench", "--n", "20", "--gaps", "1.0", "--seeds", "1",
+        "--solvers", "rgd", "--out-dir", str(tmp_path / "b"),
+    ])
+    assert rc == 1
+    assert "error: TRSR_THREADS" in capsys.readouterr().err
+
+
+def test_bench_rows_independent_of_thread_count(tmp_path, capsys, monkeypatch):
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TRSR_THREADS", threads)
+        out_dir = tmp_path / threads
+        rc = main([
+            "bench", "--n", "20", "--gaps", "1.0,0", "--seeds", "2",
+            "--solvers", "rgd,rcg", "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        rows[threads] = json.loads((out_dir / "runs.json").read_text())
+        for row in rows[threads]:
+            del row["seconds"]
+    capsys.readouterr()
+    assert len(rows["1"]) == 8
+    assert rows["2"] == rows["1"]
+
+
 def test_bench_rejects_bad_solver_list(tmp_path, capsys):
     rc = main(["bench", "--solvers", "", "--out-dir", str(tmp_path / "b")])
     assert rc == 1

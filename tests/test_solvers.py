@@ -20,6 +20,7 @@ from spheretrs import (
     enumerate_affine_eigenvalues,
     generate,
     GenSpec,
+    haar_unit,
     in_SE,
     lpr_solve,
     lpr_transform,
@@ -279,6 +280,16 @@ def test_one_apply_per_step_and_fresh_results(kind):
         _assert_fresh(p, res)
 
 
+def test_b_zero_run_estimates_the_norm_once():
+    p0, _ = generate(GenSpec(n=30, gap=1.0, seed=3))
+    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=np.zeros(30))
+    res = naive_rgd(p, haar_unit(30, np.random.default_rng(0)), SolverConfig(max_iter=200))
+    steps = len(res.trace.iters) - 1
+    assert steps > 5
+    # b = 0: the first trial step scales by ||A||, a 20-apply power iteration.
+    assert p.a.applies <= steps + math.ceil(steps / K) + 2 + 20
+
+
 def test_seeded_rcg_two_shifted_solves_per_step():
     _, res, _, pre = _counted_run("seeded_rcg", SolverConfig(), gap=1e-2)
     assert res.converged
@@ -330,7 +341,7 @@ def _nan_after(p0, k):
     return BtrsProblem(a=CallbackOp(fn, p0.dim), b=p0.b)
 
 
-@pytest.mark.parametrize("k", [0, 7])
+@pytest.mark.parametrize("k", [0, 1, 7])
 def test_double_start_reports_non_finite_operator(k):
     p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
     res = double_start(_nan_after(p0, k))

@@ -161,18 +161,38 @@ def test_lift_reuses_eigpair(monkeypatch):
     assert res.q == pytest.approx(q_true, rel=1e-9)
 
 
-@pytest.mark.parametrize("lam, has_e1", [(-5e-10, True), (-1.0, False)])
+@pytest.mark.parametrize(
+    "lam, has_e1", [(-5e-10, True), (-1.0, False), (5e-10, True), (1.0, True)]
+)
 def test_lift_eigpair_basis(lam, has_e1):
     p = diag_problem([lam, 1.0, 2.0], [0.3, 1.0, 0.5])
     eig = min_eigpair(p.a, tol=1e-10)
     lifted = trs_mod.lift_eigpair(eig)
     e1 = np.eye(4)[0]
-    assert lifted.lambda_min == eig.lambda_min
     assert any(np.array_equal(v, e1) for v in lifted.basis) == has_e1
+    if lam == 1.0:
+        # A positive definite: e_1 alone spans the lift's minimal eigenspace.
+        assert lifted.lambda_min == 0.0
+        assert len(lifted.basis) == 1
+        assert classify(augment(p), lifted).kind == "hard"
+        return
+    assert lifted.lambda_min == eig.lambda_min
+    assert len(lifted.basis) == len(eig.basis) + has_e1
     for v, w in zip(eig.basis, lifted.basis):
         assert np.array_equal(w, np.concatenate(([0.0], v)))
     # classify recomputes every basis residual under diag(0, A).
     assert classify(augment(p), lifted).kind == "easy"
+
+
+def test_singular_psd_lift_is_easy():
+    # lambda_min(A) = 0 with b along its eigenvector: the lift's minimal
+    # eigenspace holds e_1 and (0, e_1), and b_hat is not orthogonal to it.
+    p = diag_problem([0.0, 1.0, 2.0], [0.3, 1.0, 0.5])
+    res = solve_trs(p, "always_augment")
+    assert res.case_kind == "easy"
+    assert res.boundary.converged
+    _, q_true = trs_optimum(p)
+    assert res.q == pytest.approx(q_true, rel=1e-9)
 
 
 def test_always_augment_matvecs_close_to_decide():
