@@ -69,7 +69,6 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     SolveTrace,
-    armijo_step,
     double_start,
     haar_unit,
     lpr_solve,
@@ -111,7 +110,6 @@ __all__ = [
     "TangentVector",
     "TrsResult",
     "affine_rayleigh",
-    "armijo_step",
     "augment",
     "build_eig_seed",
     "classify",

@@ -106,7 +106,7 @@ def in_SE(p: BtrsProblem, x, min_eigvecs: List[np.ndarray], tol: float = 0.0) ->
     return True
 
 
-def classify(p: BtrsProblem, eig, eps_hard: float = EPS_HARD) -> CaseInfo:
+def classify(p: BtrsProblem, eig) -> CaseInfo:
     """Classify the problem as easy or hard from a minimal-eigenspace result.
 
     ``eig`` is a :class:`~spheretrs.eigmin.MinEigResult`.  b is projected
@@ -125,7 +125,7 @@ def classify(p: BtrsProblem, eig, eps_hard: float = EPS_HARD) -> CaseInfo:
         )
     coeffs = basis.T @ p.b
     alpha = float(np.linalg.norm(coeffs))
-    if alpha > eps_hard * max(1.0, p.b_norm):
+    if alpha > EPS_HARD * max(1.0, p.b_norm):
         u = basis @ (coeffs / alpha)
         u /= np.linalg.norm(u)
         return CaseInfo("easy", eig.lambda_min, u, alpha)

@@ -26,6 +26,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from . import __version__
 from .btrs import BtrsProblem, objective
 from .eigmin import EigenSolverError
 from .gen import GenSpec, generate
-from .geometry import MetricScheme, SeededMetric, StandardMetric
+from .geometry import SeededMetric, StandardMetric
 from .oracle import enumerate_affine_eigenvalues
-from .precond import build_eig_seed, make_phi
+from .precond import Preconditioner, build_eig_seed, make_phi
 from .probio import (
     ProblemFormatError,
     load_problem,
-    problem_to_dict,
     save_planted,
     save_problem,
 )
@@ -83,36 +83,29 @@ def _write_manifest(trace_path, args_ns, cfg: SolverConfig, problem_path) -> Non
     Path(str(trace_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _config_from_args(args) -> SolverConfig:
+def _config_from_args(args, seed: int) -> SolverConfig:
     return SolverConfig(
         tol_grad=args.tol_grad,
         tol_res=args.tol_res,
         max_iter=args.max_iter,
-        rng_seed=args.seed,
+        rng_seed=seed,
     )
 
 
-def _metric_from_args(args, p: BtrsProblem) -> MetricScheme:
-    if args.precond == "none":
-        return StandardMetric()
-    pre = build_eig_seed(
-        p.a, rank=args.rank, oversample=args.oversample, seed=args.seed
-    )
-    return SeededMetric(pre, make_phi(pre, p))
-
-
-def _run_solver(args, p: BtrsProblem, cfg: SolverConfig) -> SolveResult:
-    if args.solver == "double-start":
-        if args.precond != "none":
-            raise ValueError("double-start runs with the standard metric only")
+def _run_solver(
+    solver: str, p: BtrsProblem, cfg: SolverConfig, pre: Optional[Preconditioner] = None
+) -> SolveResult:
+    """Run double-start, lpr, rgd or rcg, under the metric seeded by ``pre``
+    when one is given; rgd and rcg start from -b/||b|| (random when b = 0)."""
+    if solver == "double-start":
         return double_start(p, cfg)
-    m = _metric_from_args(args, p)
-    if args.solver == "lpr":
+    m = StandardMetric() if pre is None else SeededMetric(pre, make_phi(pre, p))
+    if solver == "lpr":
         return lpr_solve(p, m, cfg=cfg)
     rng = np.random.default_rng(cfg.rng_seed)
+    # The descent loop normalizes its start.
     x0 = -p.b / p.b_norm if p.b_norm > 0 else rng.standard_normal(p.dim)
-    x0 = x0 / np.linalg.norm(x0)
-    run = {"rgd": rgd, "rcg": rcg}[args.solver]
+    run = {"rgd": rgd, "rcg": rcg}[solver]
     return run(m, p, x0, cfg)
 
 
@@ -146,8 +139,15 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     p = load_problem(args.problem)
-    cfg = _config_from_args(args)
-    res = _run_solver(args, p, cfg)
+    cfg = _config_from_args(args, args.seed)
+    pre = None
+    if args.precond == "eigseed":
+        if args.solver == "double-start":
+            raise ValueError("double-start runs with the standard metric only")
+        pre = build_eig_seed(
+            p.a, rank=args.rank, oversample=args.oversample, seed=args.seed
+        )
+    res = _run_solver(args.solver, p, cfg, pre)
     if args.trace:
         res.trace.to_csv(args.trace)
         _write_manifest(args.trace, args, cfg, args.problem)
@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
 
 def cmd_trs(args) -> int:
     p = load_problem(args.problem)
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, args.seed)
     res = solve_trs(p, strategy=args.strategy.replace("-", "_"), cfg=cfg)
     out = {
         "route": res.route,
@@ -195,21 +195,15 @@ def cmd_oracle(args) -> int:
 
 
 def _bench_one(task):
-    gap, seed, solver, n, rank, cfg_dict, out_dir = task
-    cfg = SolverConfig(**cfg_dict, rng_seed=seed)
+    gap, seed, solver, n, rank, cfg, out_dir = task
     p, planted = generate(GenSpec(n=n, gap=gap, seed=seed))
     q_star = objective(p, planted.x)
-    x0 = -p.b / p.b_norm if p.b_norm > 0 else planted.x
-
-    if solver in ("prc-rgd", "prc-rcg"):
+    pre = None
+    if solver.startswith("prc-"):
         pre = build_eig_seed(p.a, rank=rank, seed=seed)
-        m: MetricScheme = SeededMetric(pre, make_phi(pre, p))
-    else:
-        m = StandardMetric()
-    run = rcg if solver.endswith("rcg") else rgd
 
     t0 = time.perf_counter()
-    res = run(m, p, x0, cfg)
+    res = _run_solver(solver.removeprefix("prc-"), p, cfg, pre)
     wall = time.perf_counter() - t0
 
     trace_name = f"trace_gap{gap:g}_seed{seed}_{solver}.csv"
@@ -238,6 +232,10 @@ def cmd_bench(args) -> int:
     if bad:
         print(f"error: unknown solvers {sorted(bad)}", file=sys.stderr)
         return 1
+    # build_eig_seed's default oversample is 10.
+    if any(name.startswith("prc-") for name in solvers) and not 1 <= args.rank <= args.n - 10:
+        print(f"error: --rank must lie in [1, n - 10] = [1, {args.n - 10}]", file=sys.stderr)
+        return 1
     gaps = [float(g) for g in args.gaps.split(",") if g]
     threads = os.environ.get("TRSR_THREADS", "1")
     if not (threads.strip().isdecimal() and int(threads) >= 1):
@@ -245,13 +243,8 @@ def cmd_bench(args) -> int:
         return 1
     os.makedirs(args.out_dir, exist_ok=True)
 
-    cfg_dict = {
-        "tol_grad": args.tol_grad,
-        "tol_res": args.tol_res,
-        "max_iter": args.max_iter,
-    }
     tasks = [
-        (gap, seed, solver, args.n, args.rank, cfg_dict, args.out_dir)
+        (gap, seed, solver, args.n, args.rank, _config_from_args(args, seed), args.out_dir)
         for gap in gaps
         for seed in range(args.seeds)
         for solver in solvers
@@ -294,14 +287,6 @@ def cmd_bench(args) -> int:
 
 def _add_common_solve_flags(sp):
     sp.add_argument("problem", help="problem JSON file")
-    sp.add_argument(
-        "--solver",
-        default="double-start",
-        choices=["double-start", "lpr", "rgd", "rcg"],
-    )
-    sp.add_argument("--precond", default="none", choices=["none", "eigseed"])
-    sp.add_argument("--rank", type=int, default=50)
-    sp.add_argument("--oversample", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol-grad", type=float, default=1e-8)
     sp.add_argument("--tol-res", type=float, default=1e-8)
@@ -330,6 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve the sphere-constrained problem")
     _add_common_solve_flags(s)
+    s.add_argument(
+        "--solver",
+        default="double-start",
+        choices=["double-start", "lpr", "rgd", "rcg"],
+    )
+    s.add_argument("--precond", default="none", choices=["none", "eigseed"])
+    s.add_argument("--rank", type=int, default=50)
+    s.add_argument("--oversample", type=int, default=10)
     s.set_defaults(func=cmd_solve)
 
     t = sub.add_parser("trs", help="solve the ball-constrained problem")
@@ -359,8 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is bad input here (1): 2
+        # means an exhausted iteration budget.  --help and --version exit 0.
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except (ProblemFormatError, FileNotFoundError, ValueError, EigenSolverError) as exc:

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.optimize
 
-from .btrs import AffineEigenpair, BtrsProblem
+from .btrs import EPS_HARD, AffineEigenpair, BtrsProblem
 
 _WEIGHT_TINY = 1e-24  # squared coefficient below which a pole is inactive
 
@@ -109,7 +109,6 @@ def _pair_from_root(
 def enumerate_affine_eigenvalues(
     p: BtrsProblem,
     dense_limit: int = 500,
-    eps_hard: float = 1e-10,
 ) -> OracleReport:
     """Full enumeration of affine eigenpairs plus the global solution."""
     n = p.dim
@@ -214,7 +213,7 @@ def enumerate_affine_eigenvalues(
     g0 = clusters[0]
     min_vecs = [q[:, j].copy() for j in g0]
     alpha = float(np.linalg.norm(beta[g0]))
-    case = "easy" if alpha > eps_hard * max(1.0, p.b_norm) else "hard"
+    case = "easy" if alpha > EPS_HARD * max(1.0, p.b_norm) else "hard"
 
     local_ng = None
     if len(pairs) > 1:

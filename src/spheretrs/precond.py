@@ -136,12 +136,11 @@ class PhiFilter:
         return self.floor + self.smoothing * sp
 
 
-def make_phi(pre: Preconditioner, p: BtrsProblem, smoothing: float | None = None) -> PhiFilter:
+def make_phi(pre: Preconditioner, p: BtrsProblem) -> PhiFilter:
     """Default filter for a seed: floor just above -lambda_min(M)."""
     lam = pre.lambda_min_m
     floor = -lam + 1e-6 * max(1.0, abs(lam))
-    if smoothing is None:
-        smoothing = 1e-3 * max(1.0, p.b_norm + p.a.norm_estimate())
+    smoothing = 1e-3 * max(1.0, p.b_norm + p.a.norm_estimate())
     return PhiFilter(floor=floor, smoothing=float(smoothing))
 
 
@@ -163,7 +162,6 @@ def build_eig_seed(
     rank: int,
     oversample: int = 10,
     seed: int = 0,
-    power_iters: int = 2,
 ) -> EigSeedPrecond:
     """Rank-``rank`` symmetric sketch of A as a seed preconditioner.
 
@@ -181,29 +179,26 @@ def build_eig_seed(
         raise ValueError("rank + oversample must not exceed the dimension")
     rng = np.random.default_rng(seed)
 
-    for attempt in range(2):
-        omega = rng.standard_normal((n, rank + oversample))
-        y = np.column_stack([a.apply(omega[:, j]) for j in range(omega.shape[1])])
-        for _ in range(power_iters):
-            q, _ = np.linalg.qr(y)
-            y = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
-        q, r = np.linalg.qr(y)
-        good = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-        q = q[:, good]
-        if q.shape[1] < rank:
-            if attempt == 0:
-                continue
-            raise ValueError("sketch is rank deficient; matrix rank below request")
-        aq = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
-        small = q.T @ aq
-        small = 0.5 * (small + small.T)
-        w, s = np.linalg.eigh(small)
-        order = np.argsort(-np.abs(w))[:rank]
-        u = q @ s[:, order]
-        # Re-orthonormalize to wash out roundoff from the two-stage product.
-        u, _ = np.linalg.qr(u)
-        return EigSeedPrecond(u, w[order], lambda_c=0.0)
-    raise AssertionError("unreachable")
+    omega = rng.standard_normal((n, rank + oversample))
+    y = np.column_stack([a.apply(omega[:, j]) for j in range(omega.shape[1])])
+    for _ in range(2):  # subspace iteration
+        q, _ = np.linalg.qr(y)
+        y = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
+    q, r = np.linalg.qr(y)
+    good = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
+    q = q[:, good]
+    if q.shape[1] < rank:
+        # A redraw cannot help: the deficiency comes from A's spectrum.
+        raise ValueError("sketch is rank deficient; matrix rank below request")
+    aq = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
+    small = q.T @ aq
+    small = 0.5 * (small + small.T)
+    w, s = np.linalg.eigh(small)
+    order = np.argsort(-np.abs(w))[:rank]
+    u = q @ s[:, order]
+    # Re-orthonormalize to wash out roundoff from the two-stage product.
+    u, _ = np.linalg.qr(u)
+    return EigSeedPrecond(u, w[order], lambda_c=0.0)
 
 
 def kappa_bound(

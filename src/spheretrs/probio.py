@@ -33,10 +33,7 @@ def _op_to_payload(a: SymOp) -> dict:
             "d": a.d.tolist(),
             "shift": float(a.shift),
         }
-    mat = a.to_dense()
-    n = a.dim
-    tril = [float(mat[i, j]) for i in range(n) for j in range(i + 1)]
-    return {"kind": "dense", "tril": tril}
+    return {"kind": "dense", "tril": a.to_dense()[np.tril_indices(a.dim)].tolist()}
 
 
 def _op_from_payload(payload: dict, n: int) -> SymOp:
@@ -50,10 +47,7 @@ def _op_from_payload(payload: dict, n: int) -> SymOp:
                 "field 'A.tril' must hold n(n+1)/2 lower-triangle entries"
             )
         mat = np.zeros((n, n))
-        k = 0
-        for i in range(n):
-            mat[i, : i + 1] = tril[k : k + i + 1]
-            k += i + 1
+        mat[np.tril_indices(n)] = tril
         mat = mat + np.tril(mat, -1).T
         return DenseOp(mat)
     if kind == "diagonal":
@@ -93,7 +87,7 @@ def problem_from_dict(data: dict) -> BtrsProblem:
 
 def save_problem(p: BtrsProblem, path: Union[str, "object"]) -> None:
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(p), fh)
+        fh.write(json.dumps(problem_to_dict(p)))
 
 
 def load_problem(path) -> BtrsProblem:

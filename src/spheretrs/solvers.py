@@ -25,9 +25,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .btrs import BtrsProblem, classify, residual
+from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import MetricScheme, StandardMetric, TangentVector
+from .geometry import MetricScheme, StandardMetric
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -125,6 +125,8 @@ class SolveResult:
     trace: SolveTrace
     restarts: int = 0
     reason: str = ""
+    #: The easy/hard classification :func:`lpr_solve` ran on; None elsewhere.
+    case: Optional[CaseInfo] = None
 
     @property
     def converged(self) -> bool:
@@ -142,29 +144,6 @@ def _initial_step(p: BtrsProblem) -> float:
         return 1.0 / p.b_norm
     # b = 0 makes the cap vacuous; scale by the curvature instead.
     return 2.0 / max(1e-16, p.a.norm_estimate())
-
-
-def armijo_step(
-    m: MetricScheme,
-    p: BtrsProblem,
-    x: np.ndarray,
-    eta: TangentVector,
-    cfg: SolverConfig,
-) -> Tuple[float, np.ndarray]:
-    """Backtrack from t = 1/||b|| until q(x) - q(R_x(-t eta)) >= t*c*g(eta,eta).
-
-    ``eta`` is the Riemannian gradient (or any direction with the same
-    sufficient-decrease measure); the step taken is R_x(-t eta).
-    """
-    ax = p.a.apply(x)
-    xax, bx = float(x @ ax), float(p.b @ x)
-    q0 = 0.5 * xax + bx
-    # M_x from the mu of the A x in hand: metric_inner would recompute it.
-    gg = float(eta.dir @ m.at(p, x, xax + bx).mapply(eta.dir))
-    t, x_next, _, _ = _armijo(p, x, q0, ax, -eta.dir, gg, cfg, _initial_step(p))
-    if t is None:
-        raise RuntimeError("line search stalled (step below 1e-18)")
-    return t, x_next
 
 
 class _NonFinite(ValueError):
@@ -453,7 +432,8 @@ def lpr_solve(
     case = classify(p, eig)
 
     if not case.is_easy:
-        return run(m, p, x0 if x0 is not None else haar_unit(p.dim, rng), cfg)
+        res = run(m, p, x0 if x0 is not None else haar_unit(p.dim, rng), cfg)
+        return replace(res, case=case)
 
     u = case.u
     if x0 is None:
@@ -467,7 +447,7 @@ def lpr_solve(
         res = run(m, p, x, cfg, res_cap=case.alpha / 2.0)
         trace.extend(res.trace)
         if res.status == STATUS_FAILED or res.mu < eig.lambda_min:
-            return replace(res, trace=trace, restarts=restarts)
+            return replace(res, trace=trace, restarts=restarts, case=case)
         restarts += 1
         if restarts > MAX_RESTARTS:
             return replace(
@@ -476,6 +456,7 @@ def lpr_solve(
                 trace=trace,
                 restarts=restarts,
                 reason="pathological",
+                case=case,
             )
         trace.mark("lpr")
         x = lpr_transform(res.x, u)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg
 
-from .btrs import BtrsProblem, classify, objective
+from .btrs import BtrsProblem, objective
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import StandardMetric
 from .linop import SymOp
@@ -83,7 +83,11 @@ class TrsResult:
     q: float
     route: str  # "interior" | "augmented" | "direct"
     boundary: Optional[SolveResult] = None
-    case_kind: Optional[str] = None
+
+    @property
+    def case_kind(self) -> Optional[str]:
+        """The boundary solve's "easy" or "hard"; None on the interior route."""
+        return None if self.boundary is None else self.boundary.case.kind
 
 
 def _interior_attempt(p: BtrsProblem, eig: MinEigResult, tol: float):
@@ -134,13 +138,11 @@ def solve_trs(
     if failure is not None:
         return _solve_augmented(p, cfg, eig)
     res = lpr_solve(p, StandardMetric(), cfg=cfg, eig=eig)
-    case = classify(p, eig)
     return TrsResult(
         x=res.x,
         q=res.q,
         route="direct",
         boundary=res,
-        case_kind=case.kind,
     )
 
 
@@ -162,5 +164,4 @@ def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> Tr
         q=objective(p, x),
         route="augmented",
         boundary=res,
-        case_kind=classify(p_hat, eig_hat).kind,
     )

@@ -163,3 +163,27 @@ def test_eigensolver_error_exit_code(small_problem, capsys, monkeypatch):
     rc = main(["solve", str(small_problem), "--solver", "lpr"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: no convergence")
+
+
+def test_usage_errors_exit_1(small_problem, capsys):
+    assert main(["solve"]) == 1
+    assert main(["solve", str(small_problem), "--solver", "nope"]) == 1
+    # trs has one solver path, so it takes no solver or sketch flags.
+    assert main(["trs", str(small_problem), "--precond", "eigseed", "--rank", "99"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--version"]) == 0
+    assert main(["solve", "--help"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rank", ["50", "0"])
+def test_bench_rejects_impossible_rank(tmp_path, capsys, rank):
+    out_dir = tmp_path / "b"
+    rc = main([
+        "bench", "--n", "20", "--gaps", "1.0", "--seeds", "1", "--rank", rank,
+        "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "--rank" in err
+    assert not list(out_dir.glob("trace_*.csv"))

@@ -3,6 +3,7 @@ import pytest
 
 from spheretrs import (
     BtrsProblem,
+    CallbackOp,
     DenseOp,
     DiagonalOp,
     EigSeedPrecond,
@@ -145,3 +146,18 @@ def test_kappa_bound_blows_up_near_hard_case():
         kappas.append(k)
     for small, large in zip(kappas, kappas[1:]):
         assert large >= 10.0 * small
+
+
+def test_build_eig_seed_rank_deficient_raises_after_one_sketch():
+    # rank(A) = 3 < 5: a redraw cannot help, so the sketch is drawn once.
+    calls = [0]
+    d = np.concatenate(([3.0, -2.0, 1.0], np.zeros(27)))
+
+    def fn(v):
+        calls[0] += 1
+        return d * v
+
+    with pytest.raises(ValueError, match="rank deficient"):
+        build_eig_seed(CallbackOp(fn, 30), rank=5, oversample=5)
+    # The Gaussian draw and two rounds of subspace iteration, 10 columns each.
+    assert calls[0] == 3 * 10

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,11 @@ def test_dense_roundtrip(tmp_path):
     p2 = roundtrip(p, tmp_path)
     assert np.allclose(p.a.to_dense(), p2.a.to_dense())
     assert np.allclose(p.b, p2.b)
+    # The lower triangle row by row, each entry once, read back exactly.
+    a = p.a.to_dense()
+    tril = [float(a[i, j]) for i in range(6) for j in range(i + 1)]
+    assert problem_to_dict(p)["A"]["tril"] == tril
+    assert np.array_equal(p2.a.to_dense(), a)
 
 
 def test_diagonal_roundtrip(tmp_path):
@@ -86,3 +95,12 @@ def test_malformed_inputs_name_the_field():
 def test_missing_file_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_problem(tmp_path / "nope.json")
+
+
+def test_readme_schema_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    p = problem_from_dict(json.loads(block))
+    assert p.dim == 3
+    a = p.a.to_dense()
+    assert np.array_equal(a, a.T) and a[2, 1] == 0.3

@@ -13,7 +13,6 @@ from spheretrs import (
     SolverConfig,
     StandardMetric,
     TangentVector,
-    armijo_step,
     build_eig_seed,
     classify,
     double_start,
@@ -31,8 +30,10 @@ from spheretrs import (
     objective,
     rcg,
     residual,
+    rgd,
     rgrad,
 )
+import spheretrs.solvers as solvers_mod
 from spheretrs.solvers import K
 
 
@@ -45,16 +46,6 @@ def test_config_validation():
         SolverConfig(armijo_tau=1.5)
     with pytest.raises(ValueError):
         SolverConfig(armijo_c=0.0)
-
-
-def test_armijo_step_decreases():
-    p = diag_problem([1.0, 3.0], [1.0, 1.0])
-    x = np.array([1.0, 0.0])
-    g = rgrad(StandardMetric(), p, x)
-    t, x_next = armijo_step(StandardMetric(), p, x, g, SolverConfig())
-    assert 0 < t <= 1.0 / p.b_norm + 1e-15
-    assert np.linalg.norm(x_next) == pytest.approx(1.0, abs=1e-12)
-    assert objective(p, x_next) < objective(p, x)
 
 
 def test_naive_rgd_rayleigh_case():
@@ -200,6 +191,32 @@ def test_lpr_solve_hard_case():
     assert res.q == pytest.approx(q_star, abs=1e-8)
 
 
+def test_lpr_solve_carries_its_classification(monkeypatch):
+    easy, _ = generate(GenSpec(n=15, gap=0.5, seed=0))
+    eig = min_eigpair(easy.a)
+    res = lpr_solve(easy, eig=eig)
+    assert res.converged and res.case.kind == "easy"
+    assert np.array_equal(res.case.u, classify(easy, eig).u)
+    hard = diag_problem([0.0, 2.0, 3.0], [0.0, 1.0, 0.5])
+    assert lpr_solve(hard, cfg=SolverConfig(rng_seed=3)).case.kind == "hard"
+    # A local non-global start with no restarts allowed: the pathological return.
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        m = r.standard_normal((6, 6))
+        p = BtrsProblem(a=DenseOp((m + m.T) / 2), b=0.1 * r.standard_normal(6))
+        rep = enumerate_affine_eigenvalues(p)
+        if rep.local_nonglobal is not None:
+            break
+    monkeypatch.setattr(solvers_mod, "MAX_RESTARTS", 0)
+    res = lpr_solve(p, x0=rep.local_nonglobal.x)
+    assert res.reason == "pathological" and res.case.kind == "easy"
+    # The other solvers make no classification.
+    x0 = -easy.b / easy.b_norm
+    for other in (rgd(StandardMetric(), easy, x0), rcg(StandardMetric(), easy, x0),
+                  double_start(easy)):
+        assert other.case is None
+
+
 def test_invalid_inner_selector():
     p = diag_problem([1.0, 3.0], [1.0, 1.0])
     with pytest.raises(ValueError):
@@ -311,22 +328,6 @@ def test_loop_gradient_matches_geometry(seeded):
     g = rgrad(m, p, x)
     want = math.sqrt(metric_inner(m, p, x, g, g))
     assert res.trace.grad_norm[0] == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("seeded", [False, True])
-def test_armijo_step_two_applies(seeded):
-    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
-    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
-    m = StandardMetric()
-    if seeded:
-        pre = build_eig_seed(p.a, rank=5, seed=0)
-        m = SeededMetric(pre, make_phi(pre, p))
-    x = -p.b / p.b_norm
-    g = rgrad(m, p, x)
-    p.a.applies = 0
-    armijo_step(m, p, x, g, SolverConfig())
-    # A x for q and mu, and A d for the line search; M_x reuses that mu.
-    assert p.a.applies == 2
 
 
 def _nan_after(p0, k):

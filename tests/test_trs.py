@@ -13,6 +13,7 @@ from spheretrs import (
     classify,
     enumerate_affine_eigenvalues,
     generate,
+    lpr_solve,
     min_eigpair,
     objective,
     psd_init,
@@ -71,6 +72,7 @@ def test_interior_route():
     res = solve_trs(p, strategy="decide")
     assert res.route == "interior"
     assert np.allclose(res.x, [-0.25, 0.0], atol=1e-9)
+    assert res.boundary is None and res.case_kind is None
 
 
 def test_boundary_route():
@@ -212,3 +214,21 @@ def test_solve_trs_rejects_non_finite_operator():
     for strategy in ("decide", "always_augment"):
         with pytest.raises(ValueError, match="non-finite"):
             solve_trs(p, strategy)
+
+
+def test_boundary_solve_classifies_once():
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    eig = min_eigpair(p0.a, tol=1e-10)
+    p = _counting(p0)
+    lpr_solve(p, eig=eig)
+    lpr_calls = p.a.calls[0]
+    p = _counting(p0)
+    res = solve_trs(p, "decide", eig=eig)
+    assert res.route == "direct"
+    # lpr_solve's classification is the only one: no further A applications.
+    assert p.a.calls[0] == lpr_calls
+    assert res.case_kind == classify(p0, eig).kind == "easy"
+
+    lifted = solve_trs(p0, "always_augment", eig=eig)
+    assert lifted.case_kind == classify(augment(p0), trs_mod.lift_eigpair(eig)).kind
+    assert lifted.boundary.case.kind == lifted.case_kind
