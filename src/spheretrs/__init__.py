@@ -54,7 +54,6 @@ from .precond import (
     kappa_bound,
     make_phi,
     metric_matrix,
-    metric_shift,
 )
 from .probio import (
     problem_from_dict,
@@ -129,7 +128,6 @@ __all__ = [
     "lpr_transform",
     "make_phi",
     "metric_matrix",
-    "metric_shift",
     "metric_inner",
     "min_eigpair",
     "naive_rgd",

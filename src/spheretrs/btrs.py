@@ -70,12 +70,10 @@ class CaseInfo:
         return self.kind == "easy"
 
 
-def objective(p: BtrsProblem, x, ax: np.ndarray | None = None) -> float:
-    """q(x) = x'Ax/2 + b'x.  Pass ``ax`` to reuse a computed A x."""
+def objective(p: BtrsProblem, x) -> float:
+    """q(x) = x'Ax/2 + b'x."""
     x = np.asarray(x, dtype=float)
-    if ax is None:
-        ax = p.a.apply(x)
-    return 0.5 * float(x @ ax) + float(p.b @ x)
+    return 0.5 * float(x @ p.a.apply(x)) + float(p.b @ x)
 
 
 def affine_rayleigh(p: BtrsProblem, x, ax: np.ndarray | None = None) -> float:
@@ -86,12 +84,10 @@ def affine_rayleigh(p: BtrsProblem, x, ax: np.ndarray | None = None) -> float:
     return float(x @ ax) + float(p.b @ x)
 
 
-def residual(p: BtrsProblem, x, mu: float, ax: np.ndarray | None = None) -> np.ndarray:
+def residual(p: BtrsProblem, x, mu: float) -> np.ndarray:
     """r = mu*x - Ax - b; zero exactly at stationary points."""
     x = np.asarray(x, dtype=float)
-    if ax is None:
-        ax = p.a.apply(x)
-    return mu * x - ax - p.b
+    return mu * x - p.a.apply(x) - p.b
 
 
 def in_SE(p: BtrsProblem, x, min_eigvecs: List[np.ndarray], tol: float = 0.0) -> bool:

@@ -36,7 +36,7 @@ from .eigmin import EigenSolverError
 from .gen import GenSpec, generate
 from .geometry import SeededMetric, StandardMetric
 from .oracle import enumerate_affine_eigenvalues
-from .precond import Preconditioner, build_eig_seed, make_phi
+from .precond import OVERSAMPLE, Preconditioner, build_eig_seed, make_phi
 from .probio import (
     ProblemFormatError,
     load_problem,
@@ -232,23 +232,22 @@ def cmd_bench(args) -> int:
     if bad:
         print(f"error: unknown solvers {sorted(bad)}", file=sys.stderr)
         return 1
-    # build_eig_seed's default oversample is 10.
-    if any(name.startswith("prc-") for name in solvers) and not 1 <= args.rank <= args.n - 10:
-        print(f"error: --rank must lie in [1, n - 10] = [1, {args.n - 10}]", file=sys.stderr)
+    top = args.n - OVERSAMPLE
+    if any(name.startswith("prc-") for name in solvers) and not 1 <= args.rank <= top:
+        print(f"error: --rank must lie in [1, n - {OVERSAMPLE}] = [1, {top}]", file=sys.stderr)
         return 1
     gaps = [float(g) for g in args.gaps.split(",") if g]
     threads = os.environ.get("TRSR_THREADS", "1")
     if not (threads.strip().isdecimal() and int(threads) >= 1):
         print(f"error: TRSR_THREADS must be an integer >= 1, got {threads!r}", file=sys.stderr)
         return 1
-    os.makedirs(args.out_dir, exist_ok=True)
-
     tasks = [
         (gap, seed, solver, args.n, args.rank, _config_from_args(args, seed), args.out_dir)
         for gap in gaps
         for seed in range(args.seeds)
         for solver in solvers
     ]
+    os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=int(threads)) as pool:
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--precond", default="none", choices=["none", "eigseed"])
     s.add_argument("--rank", type=int, default=50)
-    s.add_argument("--oversample", type=int, default=10)
+    s.add_argument("--oversample", type=int, default=OVERSAMPLE)
     s.set_defaults(func=cmd_solve)
 
     t = sub.add_parser("trs", help="solve the ball-constrained problem")

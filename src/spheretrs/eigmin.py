@@ -56,21 +56,20 @@ def min_eigpair(
     a: SymOp,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    block: int = 2,
     seed: int = 0,
 ) -> MinEigResult:
     """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
 
     Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
     grouped into the returned basis, approximating the minimal eigenspace
-    when the eigenvalue is numerically multiple.  ``block > 1`` is what
-    makes that detection possible.  Raises ``ValueError`` when the operator
-    returns a NaN or an infinity.
+    when the eigenvalue is numerically multiple; the block of two vectors
+    is what makes that detection possible.  Raises ``ValueError`` when the
+    operator returns a NaN or an infinity.
     """
     n = a.dim
     if tol <= 0:
         raise ValueError("tol must be positive")
-    block = max(1, min(block, min(8, n)))
+    block = min(2, n)
     if max_iter is None:
         max_iter = 10 * n
 

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .btrs import AffineEigenpair, BtrsProblem
-from .linop import DenseOp, EigLowRankOp, SymOp
+from .linop import DenseOp
 from .solvers import haar_unit
-
-DENSE_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,8 @@ class GenSpec:
             raise ValueError("noise_frac must lie in [0, 1]")
         if not self.signal_range[0] < self.signal_range[1]:
             raise ValueError("signal_range must be increasing")
-        if self.gap < 0:
-            raise ValueError("gap must be nonnegative")
+        if not 0.0 <= self.gap < np.inf:
+            raise ValueError("gap must be finite and nonnegative")
 
 
 def _spectrum(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
@@ -73,32 +70,21 @@ def generate(spec: GenSpec) -> Tuple[BtrsProblem, AffineEigenpair]:
     eigenvector component restoring unit norm.
     """
     rng = np.random.default_rng(spec.seed)
-
-    for attempt in range(6):
-        lam = _spectrum(spec, rng)
-        mu_star = lam[0] - spec.gap
-        if spec.gap == 0 or mu_star < lam[0]:
-            break
-    else:
-        raise RuntimeError("could not realize the requested gap")
+    lam = _spectrum(spec, rng)
+    mu_star = lam[0] - spec.gap
+    if spec.gap > 0 and not mu_star < lam[0]:
+        # Rounding swallowed the gap.  A redraw cannot help: lambda_min is
+        # the fixed signal end unless the noise cluster reaches below it.
+        raise ValueError(f"gap {spec.gap:g} is lost to rounding at lambda_min = {lam[0]:g}")
 
     q = _haar_orthogonal(spec.n, rng)
-
-    if spec.n <= DENSE_LIMIT:
-        a_dense = (q * lam) @ q.T
-        a: SymOp = DenseOp(0.5 * (a_dense + a_dense.T))
-    else:
-        a = EigLowRankOp(q, lam, 0.0)
+    a_dense = (q * lam) @ q.T
+    a = DenseOp(0.5 * (a_dense + a_dense.T))
 
     if spec.gap > 0:
+        # ||b|| = ||(A - mu_star I) x_star|| >= gap > 0.
         x_star = haar_unit(spec.n, rng)
         b = -(a.apply(x_star) - mu_star * x_star)
-        # Degenerate draw: x_star an exact eigenvector would give b = 0 on
-        # an easy instance, which contradicts the planted case.
-        if np.linalg.norm(b) == 0.0:
-            x_star = haar_unit(spec.n, rng)
-            b = -(a.apply(x_star) - mu_star * x_star)
-        residual = 0.0
     else:
         # Hard case: mu_star = lambda_min, b orthogonal to the minimal
         # eigenvector u = q[:, 0].  Pick coefficients y_i for i >= 1 with
@@ -111,8 +97,7 @@ def generate(spec: GenSpec) -> Tuple[BtrsProblem, AffineEigenpair]:
         x_star = q @ y
         x_star += c * q[:, 0]
         b = -q @ ((lam - mu_star) * y)
-        residual = 0.0
 
     problem = BtrsProblem(a=a, b=b)
-    planted = AffineEigenpair(mu=float(mu_star), x=x_star, residual_norm=residual)
+    planted = AffineEigenpair(mu=float(mu_star), x=x_star, residual_norm=0.0)
     return problem, planted

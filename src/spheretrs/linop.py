@@ -58,14 +58,14 @@ class SymOp:
         v = _as_vector(v, self.dim)
         return float(v @ self._matvec(v))
 
-    def norm_estimate(self, n_iter: int = 20, seed: int = 0) -> float:
-        """Spectral-norm estimate by ``n_iter`` steps of power iteration.
+    def norm_estimate(self, n_iter: int = 20) -> float:
+        """Spectral-norm estimate by ``n_iter`` power steps from a fixed start.
 
         Callback operators carry no norm information, so this is the one
         place the package ever probes for ||A||.  Nothing is cached: each
         call costs up to ``n_iter`` operator applications.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         v = rng.standard_normal(self.dim)
         v /= np.linalg.norm(v)
         est = 0.0

@@ -233,6 +233,6 @@ def enumerate_affine_eigenvalues(
     )
 
 
-def global_solve(p: BtrsProblem, dense_limit: int = 2000) -> AffineEigenpair:
-    """The global minimizer as an affine eigenpair (smallest affine eigenvalue)."""
-    return enumerate_affine_eigenvalues(p, dense_limit=dense_limit).global_
+def global_solve(p: BtrsProblem) -> AffineEigenpair:
+    """The global minimizer (smallest affine eigenvalue); dense, n <= 2000."""
+    return enumerate_affine_eigenvalues(p, dense_limit=2000).global_

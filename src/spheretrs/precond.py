@@ -17,6 +17,9 @@ import scipy.linalg
 from .btrs import BtrsProblem, affine_rayleigh
 from .linop import SymOp
 
+#: Columns :func:`build_eig_seed` draws beyond the requested rank.
+OVERSAMPLE = 10
+
 
 class Preconditioner:
     """Fixed symmetric seed matrix M with cheap shifted solves."""
@@ -144,23 +147,18 @@ def make_phi(pre: Preconditioner, p: BtrsProblem) -> PhiFilter:
     return PhiFilter(floor=floor, smoothing=float(smoothing))
 
 
-def metric_shift(pre: Preconditioner, f: PhiFilter, p: BtrsProblem, x) -> float:
-    """The scalar phi(-mu_x) defining M_x = M + phi(-mu_x)*I at x."""
-    return f(-affine_rayleigh(p, x))
-
-
 def metric_matrix(
     pre: Preconditioner, f: PhiFilter, p: BtrsProblem, x
 ) -> np.ndarray:
     """Dense M_x = M + phi(-mu_x)*I.  Diagnostics only."""
     n = p.dim
-    return pre.to_dense(n) + metric_shift(pre, f, p, x) * np.eye(n)
+    return pre.to_dense(n) + f(-affine_rayleigh(p, x)) * np.eye(n)
 
 
 def build_eig_seed(
     a: SymOp,
     rank: int,
-    oversample: int = 10,
+    oversample: int = OVERSAMPLE,
     seed: int = 0,
 ) -> EigSeedPrecond:
     """Rank-``rank`` symmetric sketch of A as a seed preconditioner.
@@ -207,7 +205,6 @@ def kappa_bound(
     p: BtrsProblem,
     xbar,
     mu: float,
-    dense_limit: int = 2000,
 ) -> float:
     """Condition number of M_x^{-1/2} (A - mu*I) M_x^{-1/2}, dense path.
 
@@ -215,8 +212,8 @@ def kappa_bound(
     optimum); a singular or indefinite shifted matrix raises.
     """
     n = p.dim
-    if n > dense_limit:
-        raise ValueError(f"dense diagnostic limited to n <= {dense_limit}")
+    if n > 2000:
+        raise ValueError("dense diagnostic limited to n <= 2000")
     a_dense = p.a.to_dense()
     shifted = a_dense - mu * np.eye(n)
     lam = np.linalg.eigvalsh(shifted)

@@ -21,7 +21,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,14 +46,19 @@ class SolverConfig:
     tol_grad: float = 1e-8
     tol_res: float = 1e-8
     max_iter: int = 10000
-    armijo_tau: float = 0.5
-    armijo_c: float = 1e-4
     rng_seed: int = 0
     record_iterates: bool = False
+    #: Armijo backtracking factor and sufficient-decrease constant.
+    armijo_tau: ClassVar[float] = 0.5
+    armijo_c: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_tau < 1.0 and 0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo parameters must lie in (0, 1)")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("tol_grad", "tol_res"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -64,7 +69,6 @@ class SolveTrace:
     iter,q,grad_norm,res_norm,step,elapsed_s,marker
     """
 
-    iters: List[int] = field(default_factory=list)
     q: List[float] = field(default_factory=list)
     grad_norm: List[float] = field(default_factory=list)
     res_norm: List[float] = field(default_factory=list)
@@ -73,8 +77,12 @@ class SolveTrace:
     markers: List[Tuple[int, str]] = field(default_factory=list)
     iterates: List[np.ndarray] = field(default_factory=list)
 
-    def record(self, it, qv, gn, rn, st, el, x=None):
-        self.iters.append(it)
+    @property
+    def iters(self) -> range:
+        """Row indices: always ``0 .. len(q) - 1``."""
+        return range(len(self.q))
+
+    def record(self, qv, gn, rn, st, el, x=None):
         self.q.append(qv)
         self.grad_norm.append(gn)
         self.res_norm.append(rn)
@@ -84,11 +92,10 @@ class SolveTrace:
             self.iterates.append(x)
 
     def mark(self, kind: str):
-        self.markers.append((len(self.iters), kind))
+        self.markers.append((len(self.q), kind))
 
     def extend(self, other: "SolveTrace"):
-        offset = len(self.iters)
-        self.iters.extend(i + offset for i in other.iters)
+        offset = len(self.q)
         self.q.extend(other.q)
         self.grad_norm.extend(other.grad_norm)
         self.res_norm.extend(other.res_norm)
@@ -102,10 +109,10 @@ class SolveTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iter", "q", "grad_norm", "res_norm", "step", "elapsed_s", "marker"])
-            for k in range(len(self.iters)):
+            for k in self.iters:
                 w.writerow(
                     [
-                        self.iters[k],
+                        k,
                         repr(float(self.q[k])),
                         repr(float(self.grad_norm[k])),
                         repr(float(self.res_norm[k])),
@@ -250,9 +257,8 @@ def _descent_loop(
         rn = float(np.linalg.norm(mu * x - ax - b))
         return ax, q, mu, lm, g, mg, float(g @ mg), rn
 
-    def record(it):
+    def record():
         trace.record(
-            it,
             q,
             np.sqrt(max(gg, 0.0)),
             rn,
@@ -272,7 +278,7 @@ def _descent_loop(
     reason = ""
     step = 0.0
 
-    for it in range(cfg.max_iter):
+    for _ in range(cfg.max_iter):
         done = gg <= tol_gg and rn <= eff_tol_res
         if done and stale:
             # The test passed on the recurrence: decide on a fresh A x.
@@ -284,7 +290,7 @@ def _descent_loop(
         if not math.isfinite(mu):
             status, reason = STATUS_FAILED, "non-finite"
             break
-        record(it)
+        record()
         if done:
             status = STATUS_CONVERGED
             break
@@ -335,7 +341,7 @@ def _descent_loop(
             trace.res_norm[-1] = rn
     if status == STATUS_MAX_ITER:
         # The loop exhausted its budget after taking a step; log the final point.
-        record(len(trace.iters))
+        record()
     return SolveResult(x=x, mu=mu, q=q, status=status, trace=trace, reason=reason)
 
 
@@ -428,7 +434,7 @@ def lpr_solve(
     run = rcg if inner == "rcg" else rgd
     rng = np.random.default_rng(cfg.rng_seed)
     if eig is None:
-        eig = min_eigpair(p.a, tol=1e-10, seed=cfg.rng_seed)
+        eig = min_eigpair(p.a, seed=cfg.rng_seed)
     case = classify(p, eig)
 
     if not case.is_easy:

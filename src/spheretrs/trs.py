@@ -127,7 +127,7 @@ def solve_trs(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if eig is None:
-        eig = min_eigpair(p.a, tol=1e-10, seed=cfg.rng_seed)
+        eig = min_eigpair(p.a, seed=cfg.rng_seed)
 
     if strategy == "always_augment":
         return _solve_augmented(p, cfg, eig)

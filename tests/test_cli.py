@@ -187,3 +187,33 @@ def test_bench_rejects_impossible_rank(tmp_path, capsys, rank):
     assert rc == 1
     assert err.count("error:") == 1 and "--rank" in err
     assert not list(out_dir.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--max-iter", "-3", "max_iter"), ("--tol-res", "-1", "tol_res"), ("--tol-grad", "nan", "tol_grad")],
+)
+def test_solve_rejects_bad_config(small_problem, capsys, flag, value, field):
+    assert main(["solve", str(small_problem), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and field in captured.err
+
+
+def test_bench_rejects_bad_config(tmp_path, capsys):
+    out_dir = tmp_path / "b"
+    rc = main([
+        "bench", "--n", "20", "--gaps", "1.0", "--seeds", "1", "--solvers", "rgd",
+        "--max-iter", "0", "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "max_iter" in err
+    assert not out_dir.exists()
+
+
+def test_generate_rejects_vanishing_gap(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["generate", "--n", "10", "--gap", "1e-30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: gap")
+    assert not out.exists()

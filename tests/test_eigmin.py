@@ -6,7 +6,7 @@ from spheretrs import DenseOp, DiagonalOp, EigenSolverError, min_eigpair
 
 def test_multiplicity_two_basis():
     a = DiagonalOp(np.array([1.0, 1.0, 5.0]))
-    res = min_eigpair(a, block=2)
+    res = min_eigpair(a)
     assert res.lambda_min == pytest.approx(1.0, abs=1e-10)
     assert len(res.basis) == 2
     # The basis must span the e1/e2 plane: no component along e3.

@@ -15,7 +15,7 @@ from spheretrs import (
     kappa_bound,
     make_phi,
 )
-from spheretrs.precond import metric_matrix, metric_shift
+from spheretrs.precond import metric_matrix
 
 
 def test_phi_regimes():
@@ -68,7 +68,7 @@ def test_metric_matrix_eigenvalues():
     pre = EigSeedPrecond(np.eye(2), np.array([1.0, 3.0]), lambda_c=0.0)
     f = PhiFilter(floor=0.5, smoothing=1e-9)
     x = np.array([1.0, 0.0])
-    shift = metric_shift(pre, f, p, x)  # phi(-mu_x) = phi(-1)
+    shift = f(-1.0)  # phi(-mu_x) with mu_x = 1
     m = metric_matrix(pre, f, p, x)
     w = np.linalg.eigvalsh(m)
     assert np.allclose(np.sort(w), np.sort([1.0 + shift, 3.0 + shift]), atol=1e-9)
@@ -103,17 +103,12 @@ def test_kappa_bound_trivial_cases():
     # M_x = I (identity seed with phi ~ 0): kappa of A - mu*I itself.
     pre = IdentityPrecond()
     xbar = np.array([1.0, 0.0])
-    shift = metric_shift(pre, f, p, xbar)
     k = kappa_bound(pre, f, p, xbar, 0.0)
-    expected = (3.0 + shift * 0) / 1.0  # shifted metric is (1+phi)I, scale cancels
     assert k == pytest.approx(3.0, rel=1e-9)
 
     # Exact seed: whitening A - mu*I by itself gives kappa 1.
     mu = -1.0
     exact = ExactSeedPrecond(np.diag([1.0, 3.0]) - mu * np.eye(2) - 0.0 * np.eye(2))
-    fz = PhiFilter(floor=-1.9, smoothing=1e-12)
-    # phi floor below 0 and far from -mu_x keeps the shift ~ -1.9 + tiny;
-    # instead check with the identity-shift trick: M = A - mu*I, phi ~ 0.
     k1 = kappa_bound(exact, PhiFilter(floor=1e-12, smoothing=1e-13), p, xbar, mu)
     # metric = (A - mu I) + phi(-mu_x) I with phi tiny but positive; the
     # whitened matrix is then close to the identity.

@@ -42,10 +42,20 @@ def diag_problem(d, b):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_tau=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_c=0.0)
+    for field, bad in [
+        ("max_iter", 0),
+        ("max_iter", -3),
+        ("max_iter", 2.5),
+        ("tol_grad", -1e-8),
+        ("tol_grad", float("nan")),
+        ("tol_res", -1.0),
+        ("tol_res", float("inf")),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SolverConfig(**{field: bad})
+    # Zero tolerances stay legal; the Armijo constants are fixed.
+    SolverConfig(tol_grad=0.0, tol_res=0.0, max_iter=1)
+    assert (SolverConfig().armijo_tau, SolverConfig.armijo_c) == (0.5, 1e-4)
 
 
 def test_naive_rgd_rayleigh_case():
