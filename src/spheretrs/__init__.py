@@ -19,7 +19,7 @@ from .btrs import (
     objective,
     residual,
 )
-from .eigmin import EigenSolverError, MinEigResult, min_eigpair
+from .eigmin import MinEigResult, min_eigpair
 from .gen import GenSpec, generate
 from .geometry import (
     LocalMetric,
@@ -46,7 +46,6 @@ from .linop import (
 from .oracle import OracleReport, enumerate_affine_eigenvalues, global_solve
 from .precond import (
     EigSeedPrecond,
-    ExactSeedPrecond,
     IdentityPrecond,
     PhiFilter,
     Preconditioner,
@@ -89,8 +88,6 @@ __all__ = [
     "EPS_HARD",
     "EigLowRankOp",
     "EigSeedPrecond",
-    "EigenSolverError",
-    "ExactSeedPrecond",
     "GenSpec",
     "IdentityPrecond",
     "LocalMetric",

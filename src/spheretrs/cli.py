@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .btrs import BtrsProblem, objective
-from .eigmin import EigenSolverError
 from .gen import GenSpec, generate
 from .geometry import SeededMetric, StandardMetric
 from .oracle import enumerate_affine_eigenvalues
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (ProblemFormatError, FileNotFoundError, ValueError, EigenSolverError) as exc:
+    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

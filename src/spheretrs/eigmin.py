@@ -15,15 +15,6 @@ import numpy as np
 from .linop import SymOp
 
 
-class EigenSolverError(RuntimeError):
-    """No convergence within the iteration budget; carries the best pair."""
-
-    def __init__(self, message: str, lambda_min: float, vector: np.ndarray):
-        super().__init__(message)
-        self.lambda_min = lambda_min
-        self.vector = vector
-
-
 @dataclass(frozen=True)
 class MinEigResult:
     lambda_min: float
@@ -52,10 +43,16 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray | None) -> np.ndarray
     return q[:, keep]
 
 
+def _rayleigh_ritz(q: np.ndarray, aq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(theta, s)`` of the projection Q'AQ, given ``aq = A Q``;
+    the projection is symmetrized first to wash out roundoff."""
+    h = q.T @ aq
+    return np.linalg.eigh(0.5 * (h + h.T))
+
+
 def min_eigpair(
     a: SymOp,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     seed: int = 0,
 ) -> MinEigResult:
     """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
@@ -63,70 +60,58 @@ def min_eigpair(
     Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
     grouped into the returned basis, approximating the minimal eigenspace
     when the eigenvalue is numerically multiple; the block of two vectors
-    is what makes that detection possible.  Raises ``ValueError`` when the
-    operator returns a NaN or an infinity.
+    is what makes that detection possible.  Raises ``ValueError`` when
+    ``tol`` is not positive and finite, or when the operator returns a NaN
+    or an infinity.
+
+    Every iteration adds at least one column to the orthonormal basis, and
+    the Ritz decomposition is exact once it has n columns, so the solve
+    returns within n iterations.
     """
     n = a.dim
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     block = min(2, n)
-    if max_iter is None:
-        max_iter = 10 * n
 
     rng = np.random.default_rng(seed)
     v = _orthonormalize(rng.standard_normal((n, block)), None)
     basis = np.zeros((n, 0))
     a_basis = np.zeros((n, 0))
-    best_val = np.inf
-    best_vec = None
 
     iterations = 0
-    while iterations < max_iter:
+    while True:
         iterations += 1
-        if v.shape[1] == 0:
+        while v.shape[1] == 0:
             # Krylov breakdown: restart with fresh random directions in the
-            # orthogonal complement.
+            # orthogonal complement, which is non-empty below n columns.
             v = _orthonormalize(rng.standard_normal((n, block)), basis)
-            if v.shape[1] == 0:
-                break
         basis = np.hstack([basis, v])
-        av = np.column_stack([a.apply(v[:, j]) for j in range(v.shape[1])])
+        av = a.apply_block(v)
         if not np.isfinite(av).all():
             # One O(n*block) test per iteration instead of one per matvec.
             raise ValueError("operator output is non-finite (NaN or infinity)")
         a_basis = np.hstack([a_basis, av])
 
-        h = basis.T @ a_basis
-        h = 0.5 * (h + h.T)
-        theta, s = np.linalg.eigh(h)
-        ritz = basis @ s[:, 0]
-        a_ritz = a_basis @ s[:, 0]
-        res = float(np.linalg.norm(a_ritz - theta[0] * ritz))
-        best_val, best_vec = theta[0], ritz
-
+        theta, s = _rayleigh_ritz(basis, a_basis)
         # Once the Krylov space is exhausted the Ritz decomposition is exact,
         # and the residual tests are skipped.
         exact = basis.shape[1] >= n
-        if exact or res <= tol * max(1.0, abs(theta[0])):
-            vecs: List[np.ndarray] = []
-            found = MinEigResult(float(theta[0]), vecs, tol, iterations)
-            edge = int(np.count_nonzero(theta - theta[0] <= found.cluster_tol))
-            # Every cluster vector must be converged, and so must the smallest
-            # Ritz value outside the cluster: otherwise an unresolved copy of
-            # lambda_min could still be hiding above it.
-            for j in range(edge if exact else min(edge + 1, len(theta))):
-                y = basis @ s[:, j]
-                if not exact and np.linalg.norm(
-                    a_basis @ s[:, j] - theta[j] * y
-                ) > tol * max(1.0, abs(theta[j])):
-                    break
-                if j < edge:
-                    vecs.append(y / np.linalg.norm(y))
-            else:
-                return found
+        vecs: List[np.ndarray] = []
+        found = MinEigResult(float(theta[0]), vecs, tol, iterations)
+        edge = int(np.count_nonzero(theta - theta[0] <= found.cluster_tol))
+        # Every cluster vector must be converged, and so must the smallest
+        # Ritz value outside the cluster: otherwise an unresolved copy of
+        # lambda_min could still be hiding above it.  The smallest Ritz pair
+        # is tested first, so most iterations stop at j = 0.
+        for j in range(edge if exact else min(edge + 1, len(theta))):
+            y = basis @ s[:, j]
+            if not exact and np.linalg.norm(
+                a_basis @ s[:, j] - theta[j] * y
+            ) > tol * max(1.0, abs(theta[j])):
+                break
+            if j < edge:
+                vecs.append(y / np.linalg.norm(y))
+        else:
+            return found
 
         v = _orthonormalize(av, basis)
-
-    raise EigenSolverError(
-        f"no convergence within {max_iter} iterations", float(best_val), best_vec
-    )

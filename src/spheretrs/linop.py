@@ -53,6 +53,18 @@ class SymOp:
         v = _as_vector(v, self.dim)
         return self._matvec(v)
 
+    def apply_block(self, v) -> np.ndarray:
+        """Return A V, one application of A per column of the n-by-k V."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 2 or v.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"expected a block with {self.dim} rows, got shape {v.shape}"
+            )
+        out = np.empty(v.shape)
+        for j in range(v.shape[1]):
+            out[:, j] = self.apply(v[:, j])
+        return out
+
     def quadratic_form(self, v) -> float:
         """Return v^T A v using a single operator application."""
         v = _as_vector(v, self.dim)
@@ -83,13 +95,7 @@ class SymOp:
         Intended for diagnostics and oracles only; cost is n applies for
         representations without explicit storage.
         """
-        n = self.dim
-        out = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            out[:, i] = self._matvec(e)
-            e[i] = 0.0
+        out = self.apply_block(np.eye(self.dim))
         return 0.5 * (out + out.T)
 
 

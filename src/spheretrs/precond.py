@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .btrs import BtrsProblem, affine_rayleigh
+from .eigmin import _orthonormalize, _rayleigh_ritz
 from .linop import SymOp
 
 #: Columns :func:`build_eig_seed` draws beyond the requested rank.
@@ -58,30 +58,6 @@ class IdentityPrecond(Preconditioner):
 
     def to_dense(self, n):
         return np.eye(n)
-
-
-class ExactSeedPrecond(Preconditioner):
-    """M equal to a dense copy of A.  Diagnostics only; defeats the point
-    of sketching but makes M_x ~ A - mu*I exact for conditioning studies."""
-
-    def __init__(self, a_dense: np.ndarray):
-        a_dense = np.asarray(a_dense, dtype=float)
-        self.matrix = 0.5 * (a_dense + a_dense.T)
-        self.lambda_min_m = float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def apply(self, v):
-        return self.matrix @ v
-
-    def solve(self, shift, v):
-        self._check_shift(shift)
-        return scipy.linalg.solve(
-            self.matrix + shift * np.eye(self.matrix.shape[0]),
-            v,
-            assume_a="pos",
-        )
-
-    def to_dense(self, n):
-        return self.matrix.copy()
 
 
 class EigSeedPrecond(Preconditioner):
@@ -172,26 +148,23 @@ def build_eig_seed(
     """
     if rank < 1:
         raise ValueError("sketch rank must be >= 1")
+    if oversample < 0:
+        raise ValueError(f"sketch oversample must be >= 0, got {oversample}")
     n = a.dim
     if rank + oversample > n:
         raise ValueError("rank + oversample must not exceed the dimension")
     rng = np.random.default_rng(seed)
 
     omega = rng.standard_normal((n, rank + oversample))
-    y = np.column_stack([a.apply(omega[:, j]) for j in range(omega.shape[1])])
+    y = a.apply_block(omega)
     for _ in range(2):  # subspace iteration
         q, _ = np.linalg.qr(y)
-        y = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
-    q, r = np.linalg.qr(y)
-    good = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    q = q[:, good]
+        y = a.apply_block(q)
+    q = _orthonormalize(y, None)
     if q.shape[1] < rank:
         # A redraw cannot help: the deficiency comes from A's spectrum.
         raise ValueError("sketch is rank deficient; matrix rank below request")
-    aq = np.column_stack([a.apply(q[:, j]) for j in range(q.shape[1])])
-    small = q.T @ aq
-    small = 0.5 * (small + small.T)
-    w, s = np.linalg.eigh(small)
+    w, s = _rayleigh_ritz(q, a.apply_block(q))
     order = np.argsort(-np.abs(w))[:rank]
     u = q @ s[:, order]
     # Re-orthonormalize to wash out roundoff from the two-stage product.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spheretrs import BtrsProblem, DiagonalOp, EigenSolverError, save_problem
+from spheretrs import BtrsProblem, DiagonalOp, save_problem
 from spheretrs.cli import main
 
 
@@ -155,16 +155,6 @@ def test_double_start_rejects_eigseed(small_problem, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_eigensolver_error_exit_code(small_problem, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise EigenSolverError("no convergence", 0.0, np.zeros(20))
-
-    monkeypatch.setattr("spheretrs.cli.lpr_solve", fail)
-    rc = main(["solve", str(small_problem), "--solver", "lpr"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: no convergence")
-
-
 def test_usage_errors_exit_1(small_problem, capsys):
     assert main(["solve"]) == 1
     assert main(["solve", str(small_problem), "--solver", "nope"]) == 1
@@ -198,6 +188,17 @@ def test_solve_rejects_bad_config(small_problem, capsys, flag, value, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and field in captured.err
+
+
+def test_solve_rejects_negative_oversample(small_problem, capsys):
+    rc = main([
+        "solve", str(small_problem), "--solver", "rcg", "--precond", "eigseed",
+        "--rank", "4", "--oversample", "-3",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "oversample" in captured.err
 
 
 def test_bench_rejects_bad_config(tmp_path, capsys):

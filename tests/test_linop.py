@@ -9,8 +9,10 @@ from spheretrs import (
     DimensionMismatchError,
     EigLowRankOp,
     GenSpec,
+    SymOp,
     generate,
 )
+from spheretrs.trs import AugmentedOp
 
 
 def test_dense_apply_and_quadratic_form():
@@ -93,3 +95,50 @@ def test_norm_estimate_honours_its_arguments():
 def test_rejects_non_finite_input(field, build, bad):
     with pytest.raises(ValueError, match=f"^{field} has non-finite"):
         build(bad)
+
+
+def _sym(rng, n):
+    m = rng.standard_normal((n, n))
+    return (m + m.T) / 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: DenseOp(_sym(rng, 6)),
+        lambda rng: DiagonalOp(rng.standard_normal(6)),
+        lambda rng: EigLowRankOp(np.linalg.qr(rng.standard_normal((6, 3)))[0], rng.standard_normal(3), 0.5),
+        lambda rng: CallbackOp(_sym(rng, 6).__matmul__, 6),
+        lambda rng: AugmentedOp(DenseOp(_sym(rng, 5))),
+    ],
+    ids=["dense", "diagonal", "eiglowrank", "callback", "augmented"],
+)
+def test_apply_block_equals_column_loop(build):
+    rng = np.random.default_rng(4)
+    a = build(rng)
+    v = rng.standard_normal((6, 4))
+    loop = np.column_stack([a.apply(v[:, j]) for j in range(4)])
+    assert np.array_equal(a.apply_block(v), loop)
+
+
+def test_apply_block_charges_one_apply_per_column():
+    class Counting(SymOp):
+        def __init__(self, inner):
+            super().__init__(inner.dim)
+            self.inner = inner
+            self.matvecs = 0
+
+        def _matvec(self, v):
+            self.matvecs += 1
+            return self.inner.apply(v)
+
+    m = _sym(np.random.default_rng(5), 7)
+    a = Counting(DenseOp(m))
+    assert a.apply_block(np.ones((7, 3))).shape == (7, 3)
+    assert a.matvecs == 3
+    assert np.allclose(a.to_dense(), m, rtol=0, atol=1e-14)
+    assert a.matvecs == 3 + 7
+    with pytest.raises(DimensionMismatchError):
+        a.apply_block(np.ones(7))
+    with pytest.raises(DimensionMismatchError):
+        a.apply_block(np.ones((6, 2)))

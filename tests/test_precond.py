@@ -7,7 +7,6 @@ from spheretrs import (
     DenseOp,
     DiagonalOp,
     EigSeedPrecond,
-    ExactSeedPrecond,
     IdentityPrecond,
     PhiFilter,
     build_eig_seed,
@@ -94,6 +93,8 @@ def test_build_eig_seed_deterministic_and_validated():
         build_eig_seed(a, rank=0)
     with pytest.raises(ValueError):
         build_eig_seed(a, rank=15, oversample=10)
+    with pytest.raises(ValueError, match="oversample"):
+        build_eig_seed(a, rank=4, oversample=-3)
 
 
 def test_kappa_bound_trivial_cases():
@@ -108,7 +109,7 @@ def test_kappa_bound_trivial_cases():
 
     # Exact seed: whitening A - mu*I by itself gives kappa 1.
     mu = -1.0
-    exact = ExactSeedPrecond(np.diag([1.0, 3.0]) - mu * np.eye(2) - 0.0 * np.eye(2))
+    exact = EigSeedPrecond(np.eye(2), np.array([1.0, 3.0]) - mu)
     k1 = kappa_bound(exact, PhiFilter(floor=1e-12, smoothing=1e-13), p, xbar, mu)
     # metric = (A - mu I) + phi(-mu_x) I with phi tiny but positive; the
     # whitened matrix is then close to the identity.
