@@ -9,14 +9,12 @@ Subcommands:
 
 Exit codes: 0 converged, 2 iteration budget exhausted, 1 any error.
 Every trace CSV gets a .manifest.json sidecar recording the command, the
-configuration and a hash of the problem file. TRSR_THREADS (an integer
->= 1, default 1) sets the number of bench worker threads.
+configuration and a hash of the problem file.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -236,10 +234,14 @@ def cmd_bench(args) -> int:
         print(f"error: --rank must lie in [1, n - {OVERSAMPLE}] = [1, {top}]", file=sys.stderr)
         return 1
     gaps = [float(g) for g in args.gaps.split(",") if g]
-    threads = os.environ.get("TRSR_THREADS", "1")
-    if not (threads.strip().isdecimal() and int(threads) >= 1):
-        print(f"error: TRSR_THREADS must be an integer >= 1, got {threads!r}", file=sys.stderr)
+    if not gaps:
+        print("error: empty gap list", file=sys.stderr)
         return 1
+    if args.seeds < 1:
+        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+        return 1
+    for gap in gaps:
+        GenSpec(n=args.n, gap=gap)  # rejects a bad n or gap before any run
     tasks = [
         (gap, seed, solver, args.n, args.rank, _config_from_args(args, seed), args.out_dir)
         for gap in gaps
@@ -249,12 +251,11 @@ def cmd_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        for fut in [pool.submit(_bench_one, t) for t in tasks]:
-            try:
-                rows.append(fut.result())
-            except Exception as exc:
-                print(f"run failed: {exc}", file=sys.stderr)
+    for task in tasks:
+        try:
+            rows.append(_bench_one(task))
+        except Exception as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
 
     summary_path = os.path.join(args.out_dir, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
@@ -283,12 +284,16 @@ def cmd_bench(args) -> int:
     return 0 if len(rows) == len(tasks) else 1
 
 
+def _add_config_flags(sp):
+    sp.add_argument("--tol-grad", type=float, default=SolverConfig.tol_grad)
+    sp.add_argument("--tol-res", type=float, default=SolverConfig.tol_res)
+    sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+
+
 def _add_common_solve_flags(sp):
     sp.add_argument("problem", help="problem JSON file")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol-grad", type=float, default=1e-8)
-    sp.add_argument("--tol-res", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=10000)
+    _add_config_flags(sp)
     sp.add_argument("--trace", default=None, help="write per-iteration CSV here")
 
 
@@ -341,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seeds", type=int, default=20)
     b.add_argument("--solvers", default="rgd,rcg,prc-rgd,prc-rcg")
     b.add_argument("--rank", type=int, default=50)
-    b.add_argument("--tol-grad", type=float, default=1e-8)
-    b.add_argument("--tol-res", type=float, default=1e-8)
-    b.add_argument("--max-iter", type=int, default=10000)
+    _add_config_flags(b)
     b.add_argument("--out-dir", required=True)
     b.set_defaults(func=cmd_bench)
     return ap

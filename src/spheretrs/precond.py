@@ -15,7 +15,7 @@ import numpy as np
 
 from .btrs import BtrsProblem, affine_rayleigh
 from .eigmin import _orthonormalize, _rayleigh_ritz
-from .linop import SymOp
+from .linop import EigLowRankOp, SymOp
 
 #: Columns :func:`build_eig_seed` draws beyond the requested rank.
 OVERSAMPLE = 10
@@ -40,9 +40,6 @@ class Preconditioner:
                 f"shift {shift} does not make M + shift*I positive definite"
             )
 
-    def to_dense(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
 
 class IdentityPrecond(Preconditioner):
     """M = I; recovers the standard geometry up to a uniform scaling."""
@@ -56,43 +53,25 @@ class IdentityPrecond(Preconditioner):
         self._check_shift(shift)
         return np.asarray(v, dtype=float) / (1.0 + shift)
 
-    def to_dense(self, n):
-        return np.eye(n)
 
-
-class EigSeedPrecond(Preconditioner):
-    """M = U diag(d) U^T + lambda_c (I - U U^T) from a randomized sketch.
+class EigSeedPrecond(EigLowRankOp, Preconditioner):
+    """M = U diag(d) U^T from a randomized sketch: an unshifted
+    :class:`EigLowRankOp`, whose ``apply`` is M v.
 
     Shifted solves use the closed form blockwise on range(U) and its
     complement, so each solve costs two thin matrix-vector products.
     """
 
-    def __init__(self, u: np.ndarray, d: np.ndarray, lambda_c: float = 0.0):
-        u = np.asarray(u, dtype=float)
-        d = np.asarray(d, dtype=float)
-        r = u.shape[1]
-        if np.linalg.norm(u.T @ u - np.eye(r), "fro") > 1e-10:
-            raise ValueError("sketch factor U is not orthonormal")
-        self.u = u
-        self.d = d
-        self.lambda_c = float(lambda_c)
-        self.lambda_min_m = float(min(d.min(initial=np.inf), lambda_c))
-
-    def apply(self, v):
-        ut_v = self.u.T @ v
-        return self.u @ (self.d * ut_v) + self.lambda_c * (v - self.u @ ut_v)
+    def __init__(self, u: np.ndarray, d: np.ndarray):
+        super().__init__(u, d)
+        self.lambda_min_m = float(self.d.min(initial=0.0))
 
     def solve(self, shift, v):
         self._check_shift(shift)
         ut_v = self.u.T @ v
         head = self.u @ (ut_v / (self.d + shift))
-        tail = (v - self.u @ ut_v) / (self.lambda_c + shift)
+        tail = (v - self.u @ ut_v) / shift
         return head + tail
-
-    def to_dense(self, n):
-        return (self.u * self.d) @ self.u.T + self.lambda_c * (
-            np.eye(n) - self.u @ self.u.T
-        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +105,11 @@ def make_phi(pre: Preconditioner, p: BtrsProblem) -> PhiFilter:
 def metric_matrix(
     pre: Preconditioner, f: PhiFilter, p: BtrsProblem, x
 ) -> np.ndarray:
-    """Dense M_x = M + phi(-mu_x)*I.  Diagnostics only."""
-    n = p.dim
-    return pre.to_dense(n) + f(-affine_rayleigh(p, x)) * np.eye(n)
+    """Dense M_x = M + phi(-mu_x)*I, M read column by column from
+    ``pre.apply``.  Diagnostics only: n applies of the seed."""
+    eye = np.eye(p.dim)
+    m = np.column_stack([pre.apply(e) for e in eye])
+    return m + f(-affine_rayleigh(p, x)) * eye
 
 
 def build_eig_seed(
@@ -169,7 +150,7 @@ def build_eig_seed(
     u = q @ s[:, order]
     # Re-orthonormalize to wash out roundoff from the two-stage product.
     u, _ = np.linalg.qr(u)
-    return EigSeedPrecond(u, w[order], lambda_c=0.0)
+    return EigSeedPrecond(u, w[order])
 
 
 def kappa_bound(

@@ -371,11 +371,10 @@ def naive_rgd(
     p: BtrsProblem,
     x0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
-    res_cap: Optional[float] = None,
 ) -> SolveResult:
     """Riemannian gradient descent with the standard metric and radial
     retraction; the building block of the double-start strategy."""
-    return rgd(StandardMetric(), p, x0, cfg, res_cap)
+    return rgd(StandardMetric(), p, x0, cfg)
 
 
 def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveResult:

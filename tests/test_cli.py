@@ -92,33 +92,21 @@ def test_bench_command(tmp_path, capsys):
     assert len(summary) == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "abc"])
-def test_bench_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("TRSR_THREADS", threads)
+def test_bench_rows_follow_grid_order(tmp_path, capsys):
+    out_dir = tmp_path / "b"
     rc = main([
-        "bench", "--n", "20", "--gaps", "1.0", "--seeds", "1",
-        "--solvers", "rgd", "--out-dir", str(tmp_path / "b"),
+        "bench", "--n", "20", "--gaps", "1.0,0", "--seeds", "2",
+        "--solvers", "rgd,rcg", "--out-dir", str(out_dir),
     ])
-    assert rc == 1
-    assert "error: TRSR_THREADS" in capsys.readouterr().err
-
-
-def test_bench_rows_independent_of_thread_count(tmp_path, capsys, monkeypatch):
-    rows = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("TRSR_THREADS", threads)
-        out_dir = tmp_path / threads
-        rc = main([
-            "bench", "--n", "20", "--gaps", "1.0,0", "--seeds", "2",
-            "--solvers", "rgd,rcg", "--out-dir", str(out_dir),
-        ])
-        assert rc == 0
-        rows[threads] = json.loads((out_dir / "runs.json").read_text())
-        for row in rows[threads]:
-            del row["seconds"]
     capsys.readouterr()
-    assert len(rows["1"]) == 8
-    assert rows["2"] == rows["1"]
+    assert rc == 0
+    rows = json.loads((out_dir / "runs.json").read_text())
+    assert [(r["gap"], r["seed"], r["solver"]) for r in rows] == [
+        (gap, seed, solver)
+        for gap in (1.0, 0.0)
+        for seed in (0, 1)
+        for solver in ("rgd", "rcg")
+    ]
 
 
 def test_bench_rejects_bad_solver_list(tmp_path, capsys):
@@ -201,15 +189,28 @@ def test_solve_rejects_negative_oversample(small_problem, capsys):
     assert captured.err.count("error:") == 1 and "oversample" in captured.err
 
 
-def test_bench_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--max-iter", "0"], "max_iter"),
+        (["--gaps", ""], "gap"),
+        (["--gaps=-1"], "gap"),
+        (["--seeds", "0"], "seeds"),
+        (["--n", "1"], "n must"),
+    ],
+    ids=["max-iter", "empty-gaps", "negative-gap", "seeds", "n"],
+)
+def test_bench_rejects_bad_config(tmp_path, capsys, flags, field):
     out_dir = tmp_path / "b"
     rc = main([
         "bench", "--n", "20", "--gaps", "1.0", "--seeds", "1", "--solvers", "rgd",
-        "--max-iter", "0", "--out-dir", str(out_dir),
+        *flags, "--out-dir", str(out_dir),
     ])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 1
-    assert err.count("error:") == 1 and "max_iter" in err
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and field in captured.err
+    assert "run failed" not in captured.err
     assert not out_dir.exists()
 
 

@@ -79,7 +79,7 @@ def test_project_tangent_seeded_hand_value():
     # M_x = diag(1, 4) at x = e1: M^{-1}x = e1, x'M^{-1}x = 1, so the
     # projector acts as v - (x'v) e1.
     p = BtrsProblem(a=DiagonalOp(np.array([0.0, 0.0])), b=np.zeros(2))
-    pre = EigSeedPrecond(np.eye(2), np.array([0.0, 3.0]), lambda_c=0.0)
+    pre = EigSeedPrecond(np.eye(2), np.array([0.0, 3.0]))
     phi = PhiFilter(floor=1.0, smoothing=1e-12)
     m = SeededMetric(pre, phi)
     x = np.array([1.0, 0.0])

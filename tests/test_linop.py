@@ -8,6 +8,7 @@ from spheretrs import (
     DiagonalOp,
     DimensionMismatchError,
     EigLowRankOp,
+    EigSeedPrecond,
     GenSpec,
     SymOp,
     generate,
@@ -88,6 +89,13 @@ def test_norm_estimate_honours_its_arguments():
         ("u", lambda bad: EigLowRankOp(np.array([[1.0, bad], [0.0, 1.0]]), np.ones(2))),
         ("d", lambda bad: EigLowRankOp(np.eye(2), np.array([1.0, bad]))),
         ("shift", lambda bad: EigLowRankOp(np.eye(2), np.ones(2), shift=bad)),
+        pytest.param(
+            "u", lambda bad: EigSeedPrecond(np.array([[1.0, bad], [0.0, 1.0]]), np.ones(2)),
+            id="u-eigseed",
+        ),
+        pytest.param(
+            "d", lambda bad: EigSeedPrecond(np.eye(2), np.array([1.0, bad])), id="d-eigseed"
+        ),
         ("b", lambda bad: BtrsProblem(a=DiagonalOp(np.ones(2)), b=np.array([bad, 0.0]))),
     ],
 )
@@ -110,8 +118,9 @@ def _sym(rng, n):
         lambda rng: EigLowRankOp(np.linalg.qr(rng.standard_normal((6, 3)))[0], rng.standard_normal(3), 0.5),
         lambda rng: CallbackOp(_sym(rng, 6).__matmul__, 6),
         lambda rng: AugmentedOp(DenseOp(_sym(rng, 5))),
+        lambda rng: EigSeedPrecond(np.linalg.qr(rng.standard_normal((6, 3)))[0], rng.standard_normal(3)),
     ],
-    ids=["dense", "diagonal", "eiglowrank", "callback", "augmented"],
+    ids=["dense", "diagonal", "eiglowrank", "callback", "augmented", "eigseed"],
 )
 def test_apply_block_equals_column_loop(build):
     rng = np.random.default_rng(4)

@@ -7,10 +7,14 @@ from spheretrs import (
     DenseOp,
     DiagonalOp,
     EigSeedPrecond,
+    GenSpec,
     IdentityPrecond,
     PhiFilter,
+    Preconditioner,
+    SeededMetric,
     build_eig_seed,
     enumerate_affine_eigenvalues,
+    generate,
     kappa_bound,
     make_phi,
 )
@@ -37,26 +41,33 @@ def test_identity_solve():
 
 
 def test_eigseed_blockwise_solve():
+    # M + I = diag(4, 1): range(U) scales by 1/4, the complement by 1/1.
     u = np.array([[1.0], [0.0]])
-    pre = EigSeedPrecond(u, np.array([3.0]), lambda_c=1.0)
+    pre = EigSeedPrecond(u, np.array([3.0]))
     out = pre.solve(1.0, np.array([4.0, 4.0]))
-    assert np.allclose(out, [1.0, 2.0])
+    assert np.allclose(out, [1.0, 4.0])
 
 
 def test_eigseed_solve_roundtrip():
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((8, 3))
-    u, _ = np.linalg.qr(g)
-    pre = EigSeedPrecond(u, np.array([2.0, -0.5, 1.0]), lambda_c=0.25)
-    shift = 2.0
-    v = rng.standard_normal(8)
-    y = pre.solve(shift, v)
-    back = pre.apply(y) + shift * y
-    assert np.linalg.norm(back - v) <= 1e-11
+    # U = [c, e3] with c = (0.6, 0.8, 0, 0); the complement is spanned by
+    # s = (0.8, -0.6, 0, 0) and e4.  With d = (2, -0.5) and shift 1.5,
+    # M + 1.5 I scales c by 3.5, e3 by 1 and the complement by 1.5, so
+    # v = 7c + 2e3 + 3s + 1.5e4 solves to y = 2c + 2e3 + 2s + e4.
+    u = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    pre = EigSeedPrecond(u, np.array([2.0, -0.5]))
+    assert pre.lambda_min_m == -0.5
+    assert np.allclose(
+        pre.to_dense(),
+        [[0.72, 0.96, 0, 0], [0.96, 1.28, 0, 0], [0, 0, -0.5, 0], [0, 0, 0, 0]],
+    )
+    v = np.array([6.6, 3.8, 2.0, 1.5])
+    y = pre.solve(1.5, v)
+    assert np.allclose(y, [2.8, 0.4, 2.0, 1.0])
+    assert np.allclose(pre.apply(y) + 1.5 * y, v)
 
 
 def test_solve_rejects_non_spd_shift():
-    pre = EigSeedPrecond(np.eye(2), np.array([1.0, -2.0]), lambda_c=0.0)
+    pre = EigSeedPrecond(np.eye(2), np.array([1.0, -2.0]))
     assert pre.lambda_min_m == pytest.approx(-2.0)
     with pytest.raises(ValueError):
         pre.solve(2.0, np.ones(2))
@@ -64,7 +75,7 @@ def test_solve_rejects_non_spd_shift():
 
 def test_metric_matrix_eigenvalues():
     p = BtrsProblem(a=DiagonalOp(np.array([1.0, 3.0])), b=np.zeros(2))
-    pre = EigSeedPrecond(np.eye(2), np.array([1.0, 3.0]), lambda_c=0.0)
+    pre = EigSeedPrecond(np.eye(2), np.array([1.0, 3.0]))
     f = PhiFilter(floor=0.5, smoothing=1e-9)
     x = np.array([1.0, 0.0])
     shift = f(-1.0)  # phi(-mu_x) with mu_x = 1
@@ -73,12 +84,39 @@ def test_metric_matrix_eigenvalues():
     assert np.allclose(np.sort(w), np.sort([1.0 + shift, 3.0 + shift]), atol=1e-9)
 
 
+def test_metric_matrix_needs_only_apply():
+    class DiagSeed(Preconditioner):
+        def apply(self, v):
+            return np.array([1.0, 2.0, 3.0]) * v
+
+        def solve(self, shift, v):
+            return v / (np.array([1.0, 2.0, 3.0]) + shift)
+
+    p = BtrsProblem(a=DiagonalOp(np.array([1.0, 2.0, 3.0])), b=np.zeros(3))
+    f = PhiFilter(floor=0.5, smoothing=1e-9)
+    shift = f(-1.0)  # mu_x = 1 at x = e1
+    m = metric_matrix(DiagSeed(), f, p, np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(m, np.diag([1.0, 2.0, 3.0]) + shift * np.eye(3))
+
+
+@pytest.mark.parametrize("seed_kind", ["identity", "sketch"])
+def test_metric_matrix_equals_mapply_columns(seed_kind):
+    p, _ = generate(GenSpec(n=30, gap=0.1, seed=3))
+    pre = IdentityPrecond() if seed_kind == "identity" else build_eig_seed(p.a, rank=5)
+    f = make_phi(pre, p)
+    x = np.random.default_rng(0).standard_normal(30)
+    x /= np.linalg.norm(x)
+    lm = SeededMetric(pre, f).at(p, x)
+    cols = np.column_stack([lm.mapply(e) for e in np.eye(30)])
+    assert np.array_equal(metric_matrix(pre, f, p, x), cols)
+
+
 def test_build_eig_seed_exact_on_low_rank_psd():
     rng = np.random.default_rng(1)
     g = rng.standard_normal((40, 5))
     a = g @ g.T
     pre = build_eig_seed(DenseOp(a), rank=5, oversample=10, seed=0)
-    m = pre.to_dense(40)
+    m = pre.to_dense()
     assert np.linalg.norm(m - a) / np.linalg.norm(a) <= 1e-8
 
 
@@ -88,7 +126,7 @@ def test_build_eig_seed_deterministic_and_validated():
     a = DenseOp((m + m.T) / 2)
     p1 = build_eig_seed(a, rank=4, seed=7)
     p2 = build_eig_seed(a, rank=4, seed=7)
-    assert np.allclose(p1.to_dense(20), p2.to_dense(20))
+    assert np.allclose(p1.to_dense(), p2.to_dense())
     with pytest.raises(ValueError):
         build_eig_seed(a, rank=0)
     with pytest.raises(ValueError):
