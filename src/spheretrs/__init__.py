@@ -26,9 +26,10 @@ from .geometry import (
     MetricScheme,
     SeededMetric,
     StandardMetric,
-    TangentVector,
     hess_apply_stationary,
+    kappa_bound,
     metric_inner,
+    metric_matrix,
     project_tangent,
     retract,
     rgrad,
@@ -46,13 +47,10 @@ from .linop import (
 from .oracle import OracleReport, enumerate_affine_eigenvalues, global_solve
 from .precond import (
     EigSeedPrecond,
-    IdentityPrecond,
     PhiFilter,
     Preconditioner,
     build_eig_seed,
-    kappa_bound,
     make_phi,
-    metric_matrix,
 )
 from .probio import (
     problem_from_dict,
@@ -89,7 +87,6 @@ __all__ = [
     "EigLowRankOp",
     "EigSeedPrecond",
     "GenSpec",
-    "IdentityPrecond",
     "LocalMetric",
     "MetricScheme",
     "MinEigResult",
@@ -103,7 +100,6 @@ __all__ = [
     "SolverConfig",
     "StandardMetric",
     "SymOp",
-    "TangentVector",
     "TrsResult",
     "affine_rayleigh",
     "augment",

@@ -233,7 +233,11 @@ def cmd_bench(args) -> int:
     if any(name.startswith("prc-") for name in solvers) and not 1 <= args.rank <= top:
         print(f"error: --rank must lie in [1, n - {OVERSAMPLE}] = [1, {top}]", file=sys.stderr)
         return 1
-    gaps = [float(g) for g in args.gaps.split(",") if g]
+    try:
+        gaps = [float(g) for g in args.gaps.split(",") if g]
+    except ValueError as exc:
+        print(f"error: --gaps: {exc}", file=sys.stderr)
+        return 1
     if not gaps:
         print("error: empty gap list", file=sys.stderr)
         return 1

@@ -8,29 +8,10 @@ point, and the gradient of q is P_x M_x^{-1} (Ax + b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .btrs import BtrsProblem, affine_rayleigh
 from .precond import PhiFilter, Preconditioner
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Ambient direction attached to a base point on the sphere."""
-
-    at: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "at", np.asarray(self.at, dtype=float))
-        object.__setattr__(self, "dir", np.asarray(self.dir, dtype=float))
-
-
-def _same_base(eta: TangentVector, xi: TangentVector) -> None:
-    if eta.at is not xi.at and not np.array_equal(eta.at, xi.at):
-        raise ValueError("tangent vectors have different base points")
 
 
 class LocalMetric:
@@ -127,55 +108,76 @@ class SeededMetric(MetricScheme):
         return _SeededLocal(x, self.seed, self.phi(-mu))
 
 
-def metric_inner(
-    m: MetricScheme,
-    p: BtrsProblem,
-    x,
-    eta: TangentVector,
-    xi: TangentVector,
-) -> float:
+def metric_inner(m: MetricScheme, p: BtrsProblem, x, eta, xi) -> float:
     """g_x(eta, xi) = eta' M_x xi."""
-    _same_base(eta, xi)
-    return float(eta.dir @ m.at(p, np.asarray(x, dtype=float)).mapply(xi.dir))
+    lm = m.at(p, np.asarray(x, dtype=float))
+    return float(np.asarray(eta, dtype=float) @ lm.mapply(np.asarray(xi, dtype=float)))
 
 
-def project_tangent(m: MetricScheme, p: BtrsProblem, x, v) -> TangentVector:
+def project_tangent(m: MetricScheme, p: BtrsProblem, x, v) -> np.ndarray:
     """Metric-orthogonal projection of an ambient vector onto the tangent space."""
-    x = np.asarray(x, dtype=float)
-    return TangentVector(x, m.at(p, x).project(np.asarray(v, dtype=float)))
+    return m.at(p, np.asarray(x, dtype=float)).project(np.asarray(v, dtype=float))
 
 
-def retract(x, eta: TangentVector) -> np.ndarray:
+def retract(x, eta) -> np.ndarray:
     """R_x(eta) = (x + eta)/||x + eta||."""
-    y = np.asarray(x, dtype=float) + eta.dir
+    y = np.asarray(x, dtype=float) + np.asarray(eta, dtype=float)
     return y / np.linalg.norm(y)
 
 
-def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> TangentVector:
+def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> np.ndarray:
     """Riemannian gradient P_x M_x^{-1} (Ax + b) of q at x."""
     x = np.asarray(x, dtype=float)
     if ax is None:
         ax = p.a.apply(x)
     lm = m.at(p, x, affine_rayleigh(p, x, ax))
-    return TangentVector(x, lm.project(lm.minv(ax + p.b)))
+    return lm.project(lm.minv(ax + p.b))
 
 
-def transport(
-    m: MetricScheme, p: BtrsProblem, eta: TangentVector, xi: TangentVector
-) -> TangentVector:
+def transport(m: MetricScheme, p: BtrsProblem, x, eta, xi) -> np.ndarray:
     """Vector transport: project xi onto the tangent space at R_x(eta)."""
-    _same_base(eta, xi)
-    y = retract(eta.at, eta)
-    return project_tangent(m, p, y, xi.dir)
+    return project_tangent(m, p, retract(x, eta), xi)
 
 
-def hess_apply_stationary(
-    m: MetricScheme, p: BtrsProblem, xbar, mu: float, eta: TangentVector
-) -> TangentVector:
+def hess_apply_stationary(m: MetricScheme, p: BtrsProblem, xbar, mu: float, eta) -> np.ndarray:
     """Riemannian Hessian at a stationary point: P_x M_x^{-1}[A - mu*I] eta."""
-    xbar = np.asarray(xbar, dtype=float)
-    lm = m.at(p, xbar, mu)  # mu_xbar == mu at a stationary point
-    return TangentVector(xbar, lm.project(lm.minv(p.a.apply(eta.dir) - mu * eta.dir)))
+    eta = np.asarray(eta, dtype=float)
+    lm = m.at(p, np.asarray(xbar, dtype=float), mu)  # mu_xbar == mu at a stationary point
+    return lm.project(lm.minv(p.a.apply(eta) - mu * eta))
+
+
+def metric_matrix(m: MetricScheme, p: BtrsProblem, x) -> np.ndarray:
+    """Dense M_x, read column by column from ``m.at(p, x).mapply``.
+    Diagnostics only: n applies of the metric."""
+    lm = m.at(p, np.asarray(x, dtype=float))
+    return np.column_stack([lm.mapply(e) for e in np.eye(p.dim)])
+
+
+def kappa_bound(m: MetricScheme, p: BtrsProblem, xbar, mu: float) -> float:
+    """Condition number of M_x^{-1/2} (A - mu*I) M_x^{-1/2}, dense path.
+
+    Valid only when A - mu*I is positive definite (easy case at the global
+    optimum); a singular or indefinite shifted matrix raises.
+    """
+    n = p.dim
+    if n > 2000:
+        raise ValueError("dense diagnostic limited to n <= 2000")
+    a_dense = p.a.to_dense()
+    shifted = a_dense - mu * np.eye(n)
+    lam = np.linalg.eigvalsh(shifted)
+    if lam[0] <= 0:
+        raise ValueError(
+            "A - mu*I is not positive definite (hard-case boundary); "
+            "the conditioning bound needs the easy case"
+        )
+    m_x = metric_matrix(m, p, xbar)
+    w, v = np.linalg.eigh(m_x)
+    if w[0] <= 0:
+        raise ValueError("metric matrix is not positive definite")
+    inv_sqrt = (v / np.sqrt(w)) @ v.T
+    whitened = inv_sqrt @ shifted @ inv_sqrt
+    s = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+    return float(s[-1] / s[0])
 
 
 def tangent_basis(x) -> np.ndarray:

@@ -65,11 +65,6 @@ class SymOp:
             out[:, j] = self.apply(v[:, j])
         return out
 
-    def quadratic_form(self, v) -> float:
-        """Return v^T A v using a single operator application."""
-        v = _as_vector(v, self.dim)
-        return float(v @ self._matvec(v))
-
     def norm_estimate(self, n_iter: int = 20) -> float:
         """Spectral-norm estimate by ``n_iter`` power steps from a fixed start.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btrs import BtrsProblem, affine_rayleigh
+from .btrs import BtrsProblem
 from .eigmin import _orthonormalize, _rayleigh_ritz
 from .linop import EigLowRankOp, SymOp
 
@@ -39,19 +39,6 @@ class Preconditioner:
             raise ValueError(
                 f"shift {shift} does not make M + shift*I positive definite"
             )
-
-
-class IdentityPrecond(Preconditioner):
-    """M = I; recovers the standard geometry up to a uniform scaling."""
-
-    lambda_min_m = 1.0
-
-    def apply(self, v):
-        return np.asarray(v, dtype=float).copy()
-
-    def solve(self, shift, v):
-        self._check_shift(shift)
-        return np.asarray(v, dtype=float) / (1.0 + shift)
 
 
 class EigSeedPrecond(EigLowRankOp, Preconditioner):
@@ -102,16 +89,6 @@ def make_phi(pre: Preconditioner, p: BtrsProblem) -> PhiFilter:
     return PhiFilter(floor=floor, smoothing=float(smoothing))
 
 
-def metric_matrix(
-    pre: Preconditioner, f: PhiFilter, p: BtrsProblem, x
-) -> np.ndarray:
-    """Dense M_x = M + phi(-mu_x)*I, M read column by column from
-    ``pre.apply``.  Diagnostics only: n applies of the seed."""
-    eye = np.eye(p.dim)
-    m = np.column_stack([pre.apply(e) for e in eye])
-    return m + f(-affine_rayleigh(p, x)) * eye
-
-
 def build_eig_seed(
     a: SymOp,
     rank: int,
@@ -151,36 +128,3 @@ def build_eig_seed(
     # Re-orthonormalize to wash out roundoff from the two-stage product.
     u, _ = np.linalg.qr(u)
     return EigSeedPrecond(u, w[order])
-
-
-def kappa_bound(
-    pre: Preconditioner,
-    f: PhiFilter,
-    p: BtrsProblem,
-    xbar,
-    mu: float,
-) -> float:
-    """Condition number of M_x^{-1/2} (A - mu*I) M_x^{-1/2}, dense path.
-
-    Valid only when A - mu*I is positive definite (easy case at the global
-    optimum); a singular or indefinite shifted matrix raises.
-    """
-    n = p.dim
-    if n > 2000:
-        raise ValueError("dense diagnostic limited to n <= 2000")
-    a_dense = p.a.to_dense()
-    shifted = a_dense - mu * np.eye(n)
-    lam = np.linalg.eigvalsh(shifted)
-    if lam[0] <= 0:
-        raise ValueError(
-            "A - mu*I is not positive definite (hard-case boundary); "
-            "the conditioning bound needs the easy case"
-        )
-    m_x = metric_matrix(pre, f, p, xbar)
-    w, v = np.linalg.eigh(m_x)
-    if w[0] <= 0:
-        raise ValueError("metric matrix is not positive definite")
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    whitened = inv_sqrt @ shifted @ inv_sqrt
-    s = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
-    return float(s[-1] / s[0])

@@ -13,11 +13,9 @@ from spheretrs import (
     BtrsProblem,
     DenseOp,
     GenSpec,
-    IdentityPrecond,
     SeededMetric,
     SolverConfig,
     StandardMetric,
-    TangentVector,
     augment,
     build_eig_seed,
     classify,
@@ -171,8 +169,7 @@ def _tangent_hessian_eigs(m, p, x, mu):
     basis = tangent_basis(x)
     cols = []
     for j in range(basis.shape[1]):
-        h = hess_apply_stationary(m, p, x, mu, TangentVector(x, basis[:, j]))
-        cols.append(h.dir)
+        cols.append(hess_apply_stationary(m, p, x, mu, basis[:, j]))
     hmat = basis.T @ np.column_stack(cols)
     return np.sort(np.linalg.eigvals(hmat).real)
 
@@ -185,27 +182,18 @@ def test_05_hessian_spectrum_interval(report):
         n = int(rng.integers(5, 51))
         p, planted = generate(GenSpec(n=n, gap=0.5 + 0.05 * seed, seed=seed))
         x, mu = planted.x, planted.mu
-        pre_std = IdentityPrecond()
         rank = max(1, min(8, n // 3))
         pre_seed = build_eig_seed(
             p.a, rank=rank, oversample=min(10, n - rank), seed=seed
         )
-        for pre, metric in (
-            (pre_std, StandardMetric()),
-            (pre_seed, SeededMetric(pre_seed, make_phi(pre_seed, p))),
-        ):
-            f = make_phi(pre, p)
+        for metric in (StandardMetric(), SeededMetric(pre_seed, make_phi(pre_seed, p))):
             eigs = _tangent_hessian_eigs(metric, p, x, mu)
-            if isinstance(metric, StandardMetric):
-                m_x = np.eye(n)
-            else:
-                m_x = metric_matrix(pre, f, p, x)
-            w, v = np.linalg.eigh(m_x)
+            w, v = np.linalg.eigh(metric_matrix(metric, p, x))
             inv_sqrt = (v / np.sqrt(w)) @ v.T
             shifted = p.a.to_dense() - mu * np.eye(n)
             s = np.linalg.eigvalsh(inv_sqrt @ shifted @ inv_sqrt)
             worst_slack = max(worst_slack, s[0] - eigs[0], eigs[-1] - s[-1])
-            kb = kappa_bound(pre, f, p, x, mu)
+            kb = kappa_bound(metric, p, x, mu)
             worst_kappa = max(worst_kappa, (eigs[-1] / eigs[0]) / kb)
     ok = worst_slack <= 1e-8 and worst_kappa <= 1.0 + 1e-6
     report(
@@ -219,11 +207,9 @@ def test_05_hessian_spectrum_interval(report):
 def test_06_conditioning_blow_up(report):
     gaps = [1.0, 1e-2, 1e-4, 1e-6]
     kappas = []
-    pre = IdentityPrecond()
     for g in gaps:
         p, planted = generate(GenSpec(n=40, gap=g, seed=0))
-        f = make_phi(pre, p)
-        kappas.append(kappa_bound(pre, f, p, planted.x, planted.mu))
+        kappas.append(kappa_bound(StandardMetric(), p, planted.x, planted.mu))
     ratios = [kappas[i + 1] / kappas[i] for i in range(len(kappas) - 1)]
     ok = all(r >= 10.0 for r in ratios)
     report(
@@ -328,29 +314,26 @@ def test_09_geometry_suite(report):
         v = rng.standard_normal(n)
 
         pv = project_tangent(m, p, x, v)
-        ppv = project_tangent(m, p, x, pv.dir)
-        worst_proj = max(
-            worst_proj, np.linalg.norm(ppv.dir - pv.dir) / max(1.0, np.linalg.norm(v))
-        )
+        ppv = project_tangent(m, p, x, pv)
+        worst_proj = max(worst_proj, np.linalg.norm(ppv - pv) / max(1.0, np.linalg.norm(v)))
 
         eta = project_tangent(m, p, x, rng.standard_normal(n))
         y = retract(x, eta)
         worst_norm = max(worst_norm, abs(np.linalg.norm(y) - 1.0))
 
         xi = project_tangent(m, p, x, rng.standard_normal(n))
-        tau = transport(m, p, eta, xi)
-        worst_tan = max(worst_tan, abs(float(y @ tau.dir)))
+        tau = transport(m, p, x, eta, xi)
+        worst_tan = max(worst_tan, abs(float(y @ tau)))
 
         g = rgrad(m, p, x)
         basis = tangent_basis(x)
         h = 1e-5
         fd = np.empty(basis.shape[1])
         for j in range(basis.shape[1]):
-            d = TangentVector(x, basis[:, j])
-            qp = objective(p, retract(x, TangentVector(x, h * d.dir)))
-            qm = objective(p, retract(x, TangentVector(x, -h * d.dir)))
+            qp = objective(p, retract(x, h * basis[:, j]))
+            qm = objective(p, retract(x, -h * basis[:, j]))
             fd[j] = (qp - qm) / (2.0 * h)
-        exact = basis.T @ g.dir
+        exact = basis.T @ g
         worst_fd = max(worst_fd, np.linalg.norm(fd - exact) / np.linalg.norm(exact))
     ok = worst_fd <= 1e-5 and worst_proj <= 1e-12 and worst_norm <= 1e-12 and worst_tan <= 1e-10
     report(

@@ -197,8 +197,9 @@ def test_solve_rejects_negative_oversample(small_problem, capsys):
         (["--gaps=-1"], "gap"),
         (["--seeds", "0"], "seeds"),
         (["--n", "1"], "n must"),
+        (["--gaps", "1,abc"], "--gaps"),
     ],
-    ids=["max-iter", "empty-gaps", "negative-gap", "seeds", "n"],
+    ids=["max-iter", "empty-gaps", "negative-gap", "seeds", "n", "non-numeric-gap"],
 )
 def test_bench_rejects_bad_config(tmp_path, capsys, flags, field):
     out_dir = tmp_path / "b"

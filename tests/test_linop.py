@@ -16,11 +16,10 @@ from spheretrs import (
 from spheretrs.trs import AugmentedOp
 
 
-def test_dense_apply_and_quadratic_form():
+def test_dense_apply():
     a = DenseOp(np.array([[1.0, 2.0], [2.0, 5.0]]))
     v = np.array([1.0, -1.0])
     assert np.allclose(a.apply(v), [-1.0, -3.0])
-    assert a.quadratic_form(v) == pytest.approx(2.0)
 
 
 def test_dense_symmetrizes_mild_asymmetry():

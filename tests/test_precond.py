@@ -8,17 +8,18 @@ from spheretrs import (
     DiagonalOp,
     EigSeedPrecond,
     GenSpec,
-    IdentityPrecond,
     PhiFilter,
     Preconditioner,
     SeededMetric,
+    StandardMetric,
+    affine_rayleigh,
     build_eig_seed,
     enumerate_affine_eigenvalues,
     generate,
     kappa_bound,
     make_phi,
+    metric_matrix,
 )
-from spheretrs.precond import metric_matrix
 
 
 def test_phi_regimes():
@@ -32,12 +33,6 @@ def test_phi_regimes():
     vals = [f(a) for a in grid]
     assert all(v >= c for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_identity_solve():
-    pre = IdentityPrecond()
-    v = np.array([2.0, 4.0])
-    assert np.allclose(pre.solve(1.0, v), v / 2.0)
 
 
 def test_eigseed_blockwise_solve():
@@ -79,7 +74,7 @@ def test_metric_matrix_eigenvalues():
     f = PhiFilter(floor=0.5, smoothing=1e-9)
     x = np.array([1.0, 0.0])
     shift = f(-1.0)  # phi(-mu_x) with mu_x = 1
-    m = metric_matrix(pre, f, p, x)
+    m = metric_matrix(SeededMetric(pre, f), p, x)
     w = np.linalg.eigvalsh(m)
     assert np.allclose(np.sort(w), np.sort([1.0 + shift, 3.0 + shift]), atol=1e-9)
 
@@ -95,20 +90,19 @@ def test_metric_matrix_needs_only_apply():
     p = BtrsProblem(a=DiagonalOp(np.array([1.0, 2.0, 3.0])), b=np.zeros(3))
     f = PhiFilter(floor=0.5, smoothing=1e-9)
     shift = f(-1.0)  # mu_x = 1 at x = e1
-    m = metric_matrix(DiagSeed(), f, p, np.array([1.0, 0.0, 0.0]))
+    m = metric_matrix(SeededMetric(DiagSeed(), f), p, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(m, np.diag([1.0, 2.0, 3.0]) + shift * np.eye(3))
 
 
-@pytest.mark.parametrize("seed_kind", ["identity", "sketch"])
-def test_metric_matrix_equals_mapply_columns(seed_kind):
+def test_metric_matrix_of_each_scheme():
     p, _ = generate(GenSpec(n=30, gap=0.1, seed=3))
-    pre = IdentityPrecond() if seed_kind == "identity" else build_eig_seed(p.a, rank=5)
-    f = make_phi(pre, p)
     x = np.random.default_rng(0).standard_normal(30)
     x /= np.linalg.norm(x)
-    lm = SeededMetric(pre, f).at(p, x)
-    cols = np.column_stack([lm.mapply(e) for e in np.eye(30)])
-    assert np.array_equal(metric_matrix(pre, f, p, x), cols)
+    assert np.array_equal(metric_matrix(StandardMetric(), p, x), np.eye(30))
+    pre = build_eig_seed(p.a, rank=5)
+    f = make_phi(pre, p)
+    want = pre.to_dense() + f(-affine_rayleigh(p, x)) * np.eye(30)
+    assert np.abs(metric_matrix(SeededMetric(pre, f), p, x) - want).max() <= 1e-13
 
 
 def test_build_eig_seed_exact_on_low_rank_psd():
@@ -137,18 +131,16 @@ def test_build_eig_seed_deterministic_and_validated():
 
 def test_kappa_bound_trivial_cases():
     p = BtrsProblem(a=DiagonalOp(np.array([1.0, 3.0])), b=np.array([0.1, 0.1]))
-    f = PhiFilter(floor=-0.999, smoothing=1e-12)
 
-    # M_x = I (identity seed with phi ~ 0): kappa of A - mu*I itself.
-    pre = IdentityPrecond()
+    # M_x = I: kappa of A - mu*I itself.
     xbar = np.array([1.0, 0.0])
-    k = kappa_bound(pre, f, p, xbar, 0.0)
+    k = kappa_bound(StandardMetric(), p, xbar, 0.0)
     assert k == pytest.approx(3.0, rel=1e-9)
 
     # Exact seed: whitening A - mu*I by itself gives kappa 1.
     mu = -1.0
     exact = EigSeedPrecond(np.eye(2), np.array([1.0, 3.0]) - mu)
-    k1 = kappa_bound(exact, PhiFilter(floor=1e-12, smoothing=1e-13), p, xbar, mu)
+    k1 = kappa_bound(SeededMetric(exact, PhiFilter(floor=1e-12, smoothing=1e-13)), p, xbar, mu)
     # metric = (A - mu I) + phi(-mu_x) I with phi tiny but positive; the
     # whitened matrix is then close to the identity.
     assert k1 == pytest.approx(1.0, rel=1e-3)
@@ -156,9 +148,8 @@ def test_kappa_bound_trivial_cases():
 
 def test_kappa_bound_requires_easy_case():
     p = BtrsProblem(a=DiagonalOp(np.array([1.0, 3.0])), b=np.array([0.1, 0.1]))
-    f = PhiFilter(floor=0.5, smoothing=1e-6)
     with pytest.raises(ValueError, match="hard-case"):
-        kappa_bound(IdentityPrecond(), f, p, np.array([1.0, 0.0]), 2.0)
+        kappa_bound(StandardMetric(), p, np.array([1.0, 0.0]), 2.0)
 
 
 def test_kappa_bound_blows_up_near_hard_case():
@@ -174,9 +165,7 @@ def test_kappa_bound_blows_up_near_hard_case():
         b = -(lam * x - mu * x)
         p = BtrsProblem(a=DiagonalOp(lam), b=b)
         rep = enumerate_affine_eigenvalues(p)
-        pre = IdentityPrecond()
-        f = PhiFilter(floor=-0.999999, smoothing=1e-12)
-        k = kappa_bound(pre, f, p, rep.global_.x, rep.global_.mu)
+        k = kappa_bound(StandardMetric(), p, rep.global_.x, rep.global_.mu)
         kappas.append(k)
     for small, large in zip(kappas, kappas[1:]):
         assert large >= 10.0 * small

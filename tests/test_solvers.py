@@ -12,7 +12,6 @@ from spheretrs import (
     SeededMetric,
     SolverConfig,
     StandardMetric,
-    TangentVector,
     build_eig_seed,
     classify,
     double_start,

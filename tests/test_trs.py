@@ -44,7 +44,6 @@ def test_augment_structure():
     assert p_hat.dim == 3
     assert np.allclose(p_hat.b, [0.0, 1.0, 1.0])
     assert np.allclose(p_hat.a.to_dense(), np.diag([0.0, 1.0, 3.0]))
-    assert p_hat.a.quadratic_form(np.array([1.0, 0.0, 0.0])) == 0.0
     # Objective ignores the slack coordinate value (zero block).
     x = np.array([0.6, 0.8])
     for s in (-0.3, 0.0, 0.5):
