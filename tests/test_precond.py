@@ -94,15 +94,23 @@ def test_metric_matrix_needs_only_apply():
     assert np.array_equal(m, np.diag([1.0, 2.0, 3.0]) + shift * np.eye(3))
 
 
-def test_metric_matrix_of_each_scheme():
+@pytest.mark.parametrize("seed_kind", ["identity", "sketch"])
+def test_metric_matrix_equals_mapply_columns(seed_kind):
     p, _ = generate(GenSpec(n=30, gap=0.1, seed=3))
     x = np.random.default_rng(0).standard_normal(30)
     x /= np.linalg.norm(x)
-    assert np.array_equal(metric_matrix(StandardMetric(), p, x), np.eye(30))
-    pre = build_eig_seed(p.a, rank=5)
-    f = make_phi(pre, p)
-    want = pre.to_dense() + f(-affine_rayleigh(p, x)) * np.eye(30)
-    assert np.abs(metric_matrix(SeededMetric(pre, f), p, x) - want).max() <= 1e-13
+    if seed_kind == "identity":
+        m, want = StandardMetric(), np.eye(30)
+    else:
+        pre = build_eig_seed(p.a, rank=5)
+        f = make_phi(pre, p)
+        m = SeededMetric(pre, f)
+        want = pre.to_dense() + f(-affine_rayleigh(p, x)) * np.eye(30)
+    lm = m.at(p, x)
+    cols = np.column_stack([lm.mapply(e) for e in np.eye(30)])
+    dense = metric_matrix(m, p, x)
+    assert np.array_equal(dense, cols)
+    assert np.abs(dense - want).max() <= 1e-13
 
 
 def test_build_eig_seed_exact_on_low_rank_psd():
