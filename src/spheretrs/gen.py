@@ -37,6 +37,10 @@ class GenSpec:
             raise ValueError("signal_range must be increasing")
         if not 0.0 <= self.gap < np.inf:
             raise ValueError("gap must be finite and nonnegative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _spectrum(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:

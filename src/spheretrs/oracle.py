@@ -5,10 +5,11 @@ component along b are the roots mu of
 
     s(mu) = sum_i beta_i^2 / (lambda_i - mu)^2 - 1 = 0,
 
-where beta = Q'b.  Root structure: at most one root below the smallest
-pole, at most two between consecutive poles, exactly one above the largest
-pole.  Eigenvalues whose eigenspace is orthogonal to b contribute extra
-pairs whenever the particular solution has norm at most one.
+where beta = Q'b.  Root structure: exactly one root below the smallest
+pole and one above the largest, zero or two between consecutive poles
+(one where s just touches 0).  Eigenvalues whose eigenspace is orthogonal
+to b contribute extra pairs whenever the particular solution has norm at
+most one.
 
 Intentionally dense and slow-but-sure; this module is the verification
 backbone for everything else.
@@ -17,10 +18,9 @@ backbone for everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .btrs import EPS_HARD, AffineEigenpair, BtrsProblem
 
@@ -38,49 +38,23 @@ class OracleReport:
     min_eigvecs: List[np.ndarray]  # orthonormal basis of the minimal eigenspace
 
 
-def _secular(mu: float, lam: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w / (lam - mu) ** 2) - 1.0)
+def _sign_change(f: Callable[[float], float], neg: float, pos: float) -> float:
+    """Bisect to where f turns from <= 0 on the `neg` side to > 0 on the `pos` side.
 
-
-def _secular_prime(mu: float, lam: np.ndarray, w: np.ndarray) -> float:
-    return float(2.0 * np.sum(w / (lam - mu) ** 3))
-
-
-def _refine_root(lo: float, hi: float, lam: np.ndarray, w: np.ndarray) -> float:
-    """Safeguarded bisection followed by Newton polish on s(mu) = 0.
-
-    Requires sign(s(lo)) != sign(s(hi)); the endpoints may arrive in
-    either order.
+    The ends may come in either order.  f is evaluated only strictly between
+    them, so either end may be a pole.  Stops when the ends are adjacent
+    floats and returns the one where |f| is smaller.
     """
-    if lo > hi:
-        lo, hi = hi, lo
-    f_lo = _secular(lo, lam, w)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _secular(mid, lam, w)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+    f_neg, f_pos = -np.inf, np.inf
+    while True:
+        mid = 0.5 * (neg + pos)
+        if mid == neg or mid == pos:
+            return neg if -f_neg <= f_pos else pos
+        f_mid = f(mid)
+        if f_mid <= 0.0:
+            neg, f_neg = mid, f_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-            break
-    mu = 0.5 * (lo + hi)
-    for _ in range(20):
-        f = _secular(mu, lam, w)
-        fp = _secular_prime(mu, lam, w)
-        if fp == 0.0:
-            break
-        step = f / fp
-        nxt = mu - step
-        if not (lo <= nxt <= hi):
-            break
-        mu = nxt
-        if abs(step) <= 1e-16 * max(1.0, abs(mu)):
-            break
-    return mu
+            pos, f_pos = mid, f_mid
 
 
 def _cluster(lam: np.ndarray, tol: float) -> List[np.ndarray]:
@@ -94,11 +68,8 @@ def _cluster(lam: np.ndarray, tol: float) -> List[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def _pair_from_root(
-    mu: float, lam: np.ndarray, beta: np.ndarray, q: np.ndarray, p: BtrsProblem
-) -> AffineEigenpair:
-    coeffs = -beta / (lam - mu)
-    x = q @ coeffs
+def _unit_pair(mu: float, x: np.ndarray, p: BtrsProblem) -> AffineEigenpair:
+    """The pair (mu, x/||x||) with its residual ||mu x - A x - b||."""
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x = x / nrm
@@ -118,7 +89,6 @@ def enumerate_affine_eigenvalues(
     lam, q = np.linalg.eigh(a_dense)
     beta = q.T @ p.b
 
-    spread = max(float(lam[-1] - lam[0]), 1.0)
     clusters = _cluster(lam, 1e-10 * max(1.0, float(np.abs(lam).max())))
     c_lam = np.array([lam[g[0]] for g in clusters])
     c_w = np.array([float(np.sum(beta[g] ** 2)) for g in clusters])
@@ -129,58 +99,41 @@ def enumerate_affine_eigenvalues(
     # Roots of the secular equation between/around the active poles.
     act_lam = c_lam[active]
     act_w = c_w[active]
+
+    def s(mu: float) -> float:
+        return float(np.sum(act_w / (act_lam - mu) ** 2) - 1.0)
+
+    def s_prime(mu: float) -> float:
+        return float(2.0 * np.sum(act_w / (act_lam - mu) ** 3))
+
+    def add_root(mu: float) -> None:
+        # A pole with beta_i = 0 adds no component, even where mu meets it.
+        coeffs = np.divide(beta, mu - lam, out=np.zeros_like(beta), where=beta != 0.0)
+        pairs.append(_unit_pair(mu, q @ coeffs, p))
+
     if act_lam.size > 0:
-        total_w = float(np.sum(act_w))
+        # s <= W/d^2 - 1 < 0 at distance d > sqrt(W) from every pole, so
+        # each outer bracket holds exactly one root.
+        reach = np.sqrt(float(np.sum(act_w))) + 1.0
+        add_root(_sign_change(s, act_lam[0] - reach, act_lam[0]))
 
-        def eval_edge(pole: float, side: int) -> float:
-            # Offset from a pole at which s is safely positive.
-            delta = 1e-12 * spread
-            while _secular(pole + side * delta, act_lam, act_w) <= 0:
-                delta *= 4.0
-                if delta > spread:
-                    break
-            return pole + side * delta
-
-        # One root below the smallest active pole.
-        hi = eval_edge(act_lam[0], -1)
-        lo = act_lam[0] - np.sqrt(total_w) - 1.0
-        while _secular(lo, act_lam, act_w) >= 0:
-            lo -= spread + 1.0
-        if _secular(hi, act_lam, act_w) > 0:
-            mu = _refine_root(lo, hi, act_lam, act_w)
-            pairs.append(_pair_from_root(mu, lam, beta, q, p))
-
-        # Zero or two roots between consecutive active poles.
-        for i in range(act_lam.size - 1):
-            left = eval_edge(act_lam[i], +1)
-            right = eval_edge(act_lam[i + 1], -1)
-            if left >= right:
-                continue
-            # s -> +inf at both poles; find the interior minimum, then
-            # bracket a root on each side if the minimum dips below zero.
-            res = scipy.optimize.minimize_scalar(
-                lambda mu: _secular(mu, act_lam, act_w),
-                bounds=(left, right),
-                method="bounded",
-                options={"xatol": 1e-14 * max(1.0, spread)},
-            )
-            m_at, m_val = float(res.x), float(res.fun)
+        # Zero or two roots between consecutive active poles.  The two pole
+        # terms alone bound s from below; skip intervals where that bound
+        # is positive.  Otherwise s is convex there and its minimizer is the
+        # sign change of s', which runs from -inf to +inf.
+        cube = np.cbrt(act_w)
+        lower = (cube[:-1] + cube[1:]) ** 3 / np.diff(act_lam) ** 2 - 1.0
+        for i in np.flatnonzero(lower <= 0.0):
+            left, right = float(act_lam[i]), float(act_lam[i + 1])
+            m_at = _sign_change(s_prime, left, right)
+            m_val = s(m_at)
             if m_val < 0.0:
-                mu1 = _refine_root(m_at, left, act_lam, act_w)  # descending side
-                mu2 = _refine_root(m_at, right, act_lam, act_w)
-                pairs.append(_pair_from_root(mu1, lam, beta, q, p))
-                pairs.append(_pair_from_root(mu2, lam, beta, q, p))
+                add_root(_sign_change(s, m_at, left))
+                add_root(_sign_change(s, m_at, right))
             elif m_val == 0.0:
-                pairs.append(_pair_from_root(m_at, lam, beta, q, p))
+                add_root(m_at)
 
-        # Exactly one root above the largest active pole.
-        lo = eval_edge(act_lam[-1], +1)
-        hi = act_lam[-1] + np.sqrt(total_w) + 1.0
-        while _secular(hi, act_lam, act_w) >= 0:
-            hi += spread + 1.0
-        if _secular(lo, act_lam, act_w) > 0:
-            mu = _refine_root(lo, hi, act_lam, act_w)
-            pairs.append(_pair_from_root(mu, lam, beta, q, p))
+        add_root(_sign_change(s, act_lam[-1] + reach, act_lam[-1]))
 
     # Eigenvalues whose eigenspace is orthogonal to b: mu = lambda_j is an
     # affine eigenvalue when the particular solution has norm <= 1; the
@@ -196,11 +149,7 @@ def enumerate_affine_eigenvalues(
         if part_norm_sq <= 1.0 + 1e-14:
             gap_comp = np.sqrt(max(0.0, 1.0 - part_norm_sq))
             x = q[:, others] @ part_coeff + gap_comp * q[:, g[0]]
-            nrm = np.linalg.norm(x)
-            if nrm > 0:
-                x = x / nrm
-            res = float(np.linalg.norm(mu * x - p.a.apply(x) - p.b))
-            pairs.append(AffineEigenpair(float(mu), x, res))
+            pairs.append(_unit_pair(mu, x, p))
 
     if not pairs:
         raise RuntimeError("no affine eigenpairs found; inconsistent problem")

@@ -36,35 +36,38 @@ def _op_to_payload(a: SymOp) -> dict:
     return {"kind": "dense", "tril": a.to_dense()[np.tril_indices(a.dim)].tolist()}
 
 
+def _numbers(data: dict, name: str, shape: tuple, what: str) -> np.ndarray:
+    """The field ``name`` of ``data`` as a float array of ``shape`` (None
+    matches any length), or a ProblemFormatError that names the field."""
+    try:
+        arr = np.asarray(data[name.rpartition(".")[2]], dtype=float)
+    except KeyError:
+        raise ProblemFormatError(f"field '{name}' is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"field '{name}' must hold {what}: {exc}") from exc
+    if arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape)):
+        raise ProblemFormatError(f"field '{name}' must hold {what}")
+    return arr
+
+
 def _op_from_payload(payload: dict, n: int) -> SymOp:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ProblemFormatError("field 'A' must be an object with a 'kind'")
     kind = payload["kind"]
     if kind == "dense":
-        tril = payload.get("tril")
-        if tril is None or len(tril) != n * (n + 1) // 2:
-            raise ProblemFormatError(
-                "field 'A.tril' must hold n(n+1)/2 lower-triangle entries"
-            )
+        m = n * (n + 1) // 2
+        tril = _numbers(payload, "A.tril", (m,), "n(n+1)/2 lower-triangle entries")
         mat = np.zeros((n, n))
         mat[np.tril_indices(n)] = tril
         mat = mat + np.tril(mat, -1).T
         return DenseOp(mat)
     if kind == "diagonal":
-        diag = payload.get("diag")
-        if diag is None or len(diag) != n:
-            raise ProblemFormatError("field 'A.diag' must hold n entries")
-        return DiagonalOp(np.asarray(diag, dtype=float))
+        return DiagonalOp(_numbers(payload, "A.diag", (n,), "n entries"))
     if kind == "eiglowrank":
-        try:
-            u = np.asarray(payload["u"], dtype=float)
-            d = np.asarray(payload["d"], dtype=float)
-            shift = float(payload["shift"])
-        except KeyError as exc:
-            raise ProblemFormatError(f"field 'A.{exc.args[0]}' is missing") from exc
-        if u.ndim != 2 or u.shape[0] != n or u.shape[1] != d.shape[0]:
-            raise ProblemFormatError("field 'A.u' must be n x len(d)")
-        return EigLowRankOp(u, d, shift)
+        d = _numbers(payload, "A.d", (None,), "a list of numbers")
+        u = _numbers(payload, "A.u", (n, d.shape[0]), "an n x len(d) matrix")
+        shift = _numbers(payload, "A.shift", (), "a number")
+        return EigLowRankOp(u, d, float(shift))
     raise ProblemFormatError(f"field 'A.kind' has unknown value {kind!r}")
 
 
@@ -78,11 +81,8 @@ def problem_from_dict(data: dict) -> BtrsProblem:
     n = data.get("n")
     if not isinstance(n, int) or n < 1:
         raise ProblemFormatError("field 'n' must be a positive integer")
-    b = data.get("b")
-    if b is None or len(b) != n:
-        raise ProblemFormatError("field 'b' must hold n numbers")
-    a = _op_from_payload(data.get("A"), n)
-    return BtrsProblem(a=a, b=np.asarray(b, dtype=float))
+    b = _numbers(data, "b", (n,), "n numbers")
+    return BtrsProblem(a=_op_from_payload(data.get("A"), n), b=b)
 
 
 def save_problem(p: BtrsProblem, path: Union[str, "object"]) -> None:

@@ -53,8 +53,10 @@ class SolverConfig:
     armijo_c: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name, least in (("max_iter", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("tol_grad", "tol_res"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

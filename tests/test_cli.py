@@ -51,6 +51,15 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_numeric_field_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 2, "A": {"kind": "diagonal", "diag": 3}, "b": [1.0, 0.0]}))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "'A.diag'" in captured.err
+
+
 def test_trs_command(tmp_path, capsys):
     path = write_problem(tmp_path, [2.0, 2.0], [0.5, 0.0])
     rc = main(["trs", str(path)])
@@ -169,7 +178,12 @@ def test_bench_rejects_impossible_rank(tmp_path, capsys, rank):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--max-iter", "-3", "max_iter"), ("--tol-res", "-1", "tol_res"), ("--tol-grad", "nan", "tol_grad")],
+    [
+        ("--max-iter", "-3", "max_iter"),
+        ("--tol-res", "-1", "tol_res"),
+        ("--tol-grad", "nan", "tol_grad"),
+        ("--seed", "-1", "rng_seed"),
+    ],
 )
 def test_solve_rejects_bad_config(small_problem, capsys, flag, value, field):
     assert main(["solve", str(small_problem), flag, value]) == 1

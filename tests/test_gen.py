@@ -78,3 +78,9 @@ def test_spec_validation():
         GenSpec(n=5, gap=1.0, noise_frac=1.5)
     with pytest.raises(ValueError):
         GenSpec(n=5, gap=1.0, signal_range=(10.0, -5.0))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std"):
+            GenSpec(n=5, gap=1.0, noise_std=bad)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec(n=5, gap=1.0, seed=bad)

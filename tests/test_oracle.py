@@ -57,6 +57,16 @@ def test_hard_case_completion():
     assert abs(x[0]) == pytest.approx(np.sqrt(0.75), abs=1e-9)
 
 
+def test_root_on_an_inactive_eigenvalue():
+    # The root of s at mu = 0.5 meets lambda_1, where b has no component.
+    p = diag_problem([0.5, 1.5], [0.0, 1.0])
+    rep = enumerate_affine_eigenvalues(p)
+    assert [pair.mu for pair in rep.affine_eigs] == pytest.approx([0.5, 0.5, 2.5])
+    for pair in rep.affine_eigs[:2]:
+        assert np.allclose(pair.x, [0.0, -1.0]) and pair.residual_norm < 1e-12
+    assert objective(p, rep.global_.x) == pytest.approx(-0.25)
+
+
 def test_global_beats_random_sampling():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((8, 8))
@@ -120,3 +130,20 @@ def test_secular_interval_structure():
         assert np.sum(mus < lam[0]) <= 1
         for lo, hi in zip(lam[:-1], lam[1:]):
             assert np.sum((mus > lo) & (mus < hi)) <= 2
+
+
+def test_lists_every_affine_eigenvalue():
+    # For diagonal A the affine eigenvalues are exactly the real eigenvalues
+    # of W = [[Lambda, -I], [-b b', Lambda]] (Gander, Golub & von Matt 1989).
+    for seed in range(200):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 9))
+        lam = r.standard_normal(n)
+        b = r.standard_normal(n) * 10.0 ** r.uniform(-2.0, 0.5)
+        rep = enumerate_affine_eigenvalues(BtrsProblem(a=DiagonalOp(lam), b=b))
+        mus = np.array([pair.mu for pair in rep.affine_eigs])
+        w = np.block([[np.diag(lam), -np.eye(n)], [-np.outer(b, b), np.diag(lam)]])
+        ev = np.linalg.eigvals(w)
+        real = np.sort(ev.real[np.abs(ev.imag) <= 1e-7 * (1.0 + np.abs(ev.real))])
+        assert mus.shape == real.shape, seed
+        np.testing.assert_allclose(mus, real, rtol=0, atol=1e-8, err_msg=f"seed {seed}")

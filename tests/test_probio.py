@@ -91,6 +91,12 @@ def test_malformed_inputs_name_the_field():
     with pytest.raises(ProblemFormatError):
         problem_from_dict(bad)
 
+    for value in (3, ["x", 1]):
+        bad = dict(good)
+        bad["b"] = value
+        with pytest.raises(ProblemFormatError, match="'b'"):
+            problem_from_dict(bad)
+
 
 def test_missing_file_error(tmp_path):
     with pytest.raises(FileNotFoundError):

@@ -49,6 +49,8 @@ def test_config_validation():
         ("tol_grad", float("nan")),
         ("tol_res", -1.0),
         ("tol_res", float("inf")),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
     ]:
         with pytest.raises(ValueError, match=f"^{field} "):
             SolverConfig(**{field: bad})
