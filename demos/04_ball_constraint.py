@@ -33,10 +33,11 @@ res = solve_trs(p, strategy="decide")
 print("boundary case :", res.x, "route:", res.route)
 
 # The always-augment strategy lifts every instance.  For positive
-# definite A the lifted problem is a hard-case sphere problem, and the
-# start (1, -b)/||(1, -b)|| is simultaneously inside the benign region
-# S_E and not orthogonal to the bottom eigenspace (S_H), so one
-# conjugate-gradient run from it, inside lpr_solve, resolves it.
+# definite A the lifted problem is a hard-case sphere problem whose
+# minimal eigenvector is e_1, so lpr_solve's start e_1 - b_hat is
+# (1, -b)/||(1, -b)||: simultaneously inside the benign region S_E and
+# not orthogonal to the bottom eigenspace (S_H), so one
+# conjugate-gradient run from it resolves the lift.
 res = solve_trs(p, strategy="always_augment")
 print("lifted        :", res.x, "route:", res.route, "case:", res.case_kind)
 

@@ -29,11 +29,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not (0.0 <= self.noise_frac <= 1.0):
             raise ValueError("noise_frac must lie in [0, 1]")
-        if not self.signal_range[0] < self.signal_range[1]:
+        lo, hi = self.signal_range
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"signal_range must have finite ends, got {(lo, hi)!r}")
+        if not lo < hi:
             raise ValueError("signal_range must be increasing")
         if not 0.0 <= self.gap < np.inf:
             raise ValueError("gap must be finite and nonnegative")

@@ -28,6 +28,8 @@ import numpy as np
 from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import MetricScheme, StandardMetric
+from .linop import CallbackOp, DenseOp
+from .oracle import global_solve
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -39,6 +41,9 @@ K = 50
 
 #: Reflections :func:`lpr_solve` makes before it reports a pathological failure.
 MAX_RESTARTS = 10
+
+#: Eigensolve tolerance of :func:`double_start`'s curvature check.
+ESCAPE_EIG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -270,6 +275,8 @@ def _descent_loop(
         )
 
     x = np.asarray(x0, dtype=float)
+    if not (np.isfinite(x).all() and np.linalg.norm(x) > 0):
+        raise ValueError("x0 must be finite and nonzero")
     x = x / np.linalg.norm(x)
     ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
     d = -g
@@ -348,25 +355,17 @@ def _descent_loop(
 
 
 def rcg(
-    m: MetricScheme,
-    p: BtrsProblem,
-    x0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
-    res_cap: Optional[float] = None,
+    m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
     """Riemannian conjugate gradient (Polak-Ribiere+, projection transport)."""
-    return _descent_loop(m, p, x0, cfg, use_cg=True, res_cap=res_cap)
+    return _descent_loop(m, p, x0, cfg, use_cg=True)
 
 
 def rgd(
-    m: MetricScheme,
-    p: BtrsProblem,
-    x0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
-    res_cap: Optional[float] = None,
+    m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
     """Riemannian gradient descent under an arbitrary metric scheme."""
-    return _descent_loop(m, p, x0, cfg, use_cg=False, res_cap=res_cap)
+    return _descent_loop(m, p, x0, cfg, use_cg=False)
 
 
 def naive_rgd(
@@ -379,30 +378,67 @@ def naive_rgd(
     return rgd(StandardMetric(), p, x0, cfg)
 
 
+def _escape_start(p: BtrsProblem, x: np.ndarray, mu: float, seed: int):
+    """The minimizer of q on the great circle through x along the most
+    negative curvature direction w of the Riemannian Hessian
+    P_x (A - mu I) P_x, or None when no curvature lies below the
+    eigensolve's ``-cluster_tol`` (x is no saddle).
+
+    The circle's 2x2 sphere problem takes two operator applications
+    (``A x`` and ``A w``) and is solved exactly by the oracle.
+    """
+
+    def hess(v):
+        v = v - x * float(x @ v)
+        hv = p.a.apply(v) - mu * v
+        return hv - x * float(x @ hv)
+
+    eig = min_eigpair(CallbackOp(hess, p.dim), tol=ESCAPE_EIG_TOL, seed=seed)
+    if not eig.lambda_min < -eig.cluster_tol:
+        return None
+    w = eig.basis[0] - x * float(x @ eig.basis[0])
+    v = np.column_stack([x, w / np.linalg.norm(w)])
+    a2 = v.T @ p.a.apply_block(v)
+    circle = BtrsProblem(a=DenseOp(0.5 * (a2 + a2.T)), b=v.T @ p.b)
+    return v @ global_solve(circle).x
+
+
 def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run gradient descent from -b/||b|| and from a random sphere point,
     return the better result.  The first start covers the easy case (it
-    stays in S_E), the second covers the hard case (almost surely in S_H)."""
+    stays in S_E), the second covers the hard case (almost surely in S_H).
+
+    A random start close to orthogonal to the minimal eigenspace can sit
+    near a saddle for the whole budget.  So each run that ends at
+    ``max_iter`` gets a curvature check (:func:`_escape_start`, about 90
+    applications at n=500); at a saddle, ``naive_rgd`` reruns from the
+    minimizer on the negative-curvature great circle, marked ``escape``.
+    """
     rng = np.random.default_rng(cfg.rng_seed)
+    starts = [-p.b / p.b_norm] if p.b_norm > 0 else []
+    starts.append(haar_unit(p.dim, rng))
     results = []
     trace = SolveTrace()
-    if p.b_norm > 0:
+    for x0 in starts:
         trace.mark("cold_start")
-        r1 = naive_rgd(p, -p.b / p.b_norm, cfg)
-        trace.extend(r1.trace)
-        results.append(r1)
-    trace.mark("cold_start")
-    r2 = naive_rgd(p, haar_unit(p.dim, rng), cfg)
-    trace.extend(r2.trace)
-    results.append(r2)
+        res = naive_rgd(p, x0, cfg)
+        trace.extend(res.trace)
+        results.append(res)
+        if res.status != STATUS_MAX_ITER:
+            continue
+        y = _escape_start(p, res.x, res.mu, cfg.rng_seed)
+        if y is not None:
+            trace.mark("escape")
+            res = naive_rgd(p, y, cfg)
+            trace.extend(res.trace)
+            results.append(res)
 
     ok = [r for r in results if r.status != STATUS_FAILED]
     if not ok:
-        best = results[0]
-    elif len(ok) == 2 and abs(ok[0].q - ok[1].q) <= 1e-14 * max(1.0, abs(ok[0].q)):
-        best = ok[0]  # tie: prefer the deterministic S_E start
-    else:
-        best = min(ok, key=lambda r: r.q)
+        return replace(results[0], trace=trace)
+    # Ties go to the earliest run: the deterministic S_E start first.
+    q_min = min(r.q for r in ok)
+    best = next(r for r in ok if r.q - q_min <= 1e-14 * max(1.0, abs(q_min)))
     return replace(best, trace=trace)
 
 
@@ -424,34 +460,32 @@ def lpr_solve(
 ) -> SolveResult:
     """Globally convergent solver built on reflection restarts.
 
-    A minimal eigenvector u of A with u'b != 0 certifies the easy case; the
-    inner solver then runs with its stationarity test tightened to
-    ||r|| <= |u'b|/2, and any return with mu >= lambda_min(A) is reflected
-    across u and restarted.  In the hard case a single run from a random
-    start suffices (its only stable stationary points are global optima).
+    Both cases start from s u - b, with u the minimal eigenvector of
+    :func:`classify` and s = +-1 making s u'b <= 0: a point in S_E and S_H,
+    so given ``eig`` the answer does not depend on ``cfg.rng_seed``.  A u
+    with u'b != 0 certifies the easy case; the inner solver then runs with
+    its stationarity test tightened to ||r|| <= |u'b|/2, and any return
+    with mu >= lambda_min(A) is reflected across u and restarted.  In the
+    hard case one run suffices: no non-global stationary point has u'x != 0.
     """
     if inner not in ("rgd", "rcg"):
         raise ValueError("inner solver must be 'rgd' or 'rcg'")
-    run = rcg if inner == "rcg" else rgd
-    rng = np.random.default_rng(cfg.rng_seed)
+    use_cg = inner == "rcg"
     if eig is None:
         eig = min_eigpair(p.a, seed=cfg.rng_seed)
     case = classify(p, eig)
-
-    if not case.is_easy:
-        res = run(m, p, x0 if x0 is not None else haar_unit(p.dim, rng), cfg)
-        return replace(res, case=case)
-
     u = case.u
     if x0 is None:
-        # Deterministic start inside S_E (and S_H): the minimal eigenvector
-        # signed against b.
-        x0 = -np.sign(float(u @ p.b)) * u
-    x = np.asarray(x0, dtype=float)
+        x0 = (-1.0 if float(u @ p.b) > 0 else 1.0) * u - p.b
+
+    if not case.is_easy:
+        return replace(_descent_loop(m, p, x0, cfg, use_cg), case=case)
+
+    x = x0
     trace = SolveTrace()
     restarts = 0
     while True:
-        res = run(m, p, x, cfg, res_cap=case.alpha / 2.0)
+        res = _descent_loop(m, p, x, cfg, use_cg, res_cap=case.alpha / 2.0)
         trace.extend(res.trace)
         if res.status == STATUS_FAILED or res.mu < eig.lambda_min:
             return replace(res, trace=trace, restarts=restarts, case=case)

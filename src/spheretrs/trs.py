@@ -67,10 +67,10 @@ def lift_eigpair(eig: MinEigResult) -> MinEigResult:
 def psd_init(p_hat: BtrsProblem) -> np.ndarray:
     """Start point (1, -b) / sqrt(1 + ||b||^2) for the augmented problem.
 
-    When A is positive semidefinite, e_1 is a minimal eigenvector of
-    diag(0, A), orthogonal to (0, b); any other one is (0, v) with
-    lambda_min(A) = 0.  This point lies in both S_E and S_H, so a single
-    deterministic run reaches the global optimum.
+    When A is positive definite, e_1 spans the minimal eigenspace of
+    diag(0, A) and is orthogonal to (0, b), so this is the start
+    ``e_1 - b_hat`` that ``lpr_solve`` takes on the lift.  It lies in both
+    S_E and S_H, so a single deterministic run reaches the global optimum.
     """
     b = p_hat.b[1:]
     x = np.concatenate(([1.0], -b))
@@ -150,14 +150,11 @@ def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> Tr
     """Solve the ball problem through the (n+1)-dimensional sphere lift.
 
     The lift's minimal eigenpair comes from A's (:func:`lift_eigpair`), so
-    ``lpr_solve`` solves it with no second eigensolve.  When e_1 is a
-    minimal eigenvector of the lift, the run starts from :func:`psd_init`.
+    ``lpr_solve`` solves it with no second eigensolve, from its own start;
+    on a positive definite lift that start is :func:`psd_init`'s point.
     """
     p_hat = augment(p)
-    eig_hat = lift_eigpair(eig)
-    # e_1 is the only lifted basis vector with a nonzero first entry.
-    x0 = psd_init(p_hat) if eig_hat.basis[-1][0] else None
-    res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=eig_hat, x0=x0)
+    res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=lift_eigpair(eig))
     x = res.x[1:]
     return TrsResult(
         x=x,

@@ -84,3 +84,9 @@ def test_spec_validation():
     for bad in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             GenSpec(n=5, gap=1.0, seed=bad)
+    for bad in (1, 2.5, "5"):
+        with pytest.raises(ValueError, match="^n "):
+            GenSpec(n=bad, gap=1.0)
+    for bad in ((-5.0, float("inf")), (-float("inf"), 10.0), (float("nan"), 10.0)):
+        with pytest.raises(ValueError, match="signal_range"):
+            GenSpec(n=5, gap=1.0, signal_range=bad)

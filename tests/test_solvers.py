@@ -365,3 +365,48 @@ def test_lpr_solve_rejects_non_finite_operator():
     p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
     with pytest.raises(ValueError, match="non-finite"):
         lpr_solve(_nan_after(p0, 3))
+
+
+@pytest.fixture(scope="module")
+def near_hard_500():
+    """gen seed 1, n=500, gap 1e-8: random starts at rng_seed 55 and 318
+    land within about 1.5e-3 of orthogonal to the minimal eigenvector."""
+    p, planted = generate(GenSpec(n=500, gap=1e-8, seed=1))
+    return p, objective(p, planted.x)
+
+
+@pytest.mark.parametrize("seed", [55, 318])
+def test_double_start_escapes_a_saddle(near_hard_500, seed):
+    p, q_star = near_hard_500
+    res = double_start(p, SolverConfig(rng_seed=seed))
+    assert [k for _, k in res.trace.markers].count("escape") == 1
+    assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
+
+
+def test_lpr_solve_start_holds_no_random_draw(near_hard_500):
+    p, q_star = near_hard_500
+    res = lpr_solve(p, cfg=SolverConfig(rng_seed=55))
+    assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
+
+
+def test_converged_double_start_makes_no_extra_apply():
+    p0, _ = generate(GenSpec(n=60, gap=0.5, seed=1))
+    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
+    res = double_start(p)
+    assert [k for _, k in res.trace.markers] == ["cold_start", "cold_start"]
+    applies, p.a.applies = p.a.applies, 0
+    for x0 in (-p.b / p.b_norm, haar_unit(60, np.random.default_rng(0))):
+        assert naive_rgd(p, x0).converged
+    assert applies == p.a.applies
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("solver", ["rcg", "lpr_solve"])
+def test_rejects_a_zero_or_non_finite_start(fill, solver):
+    p = diag_problem([-1.0, 2.0, 3.0], [0.5, 1.0, 0.2])
+    x0 = np.full(3, fill)
+    with pytest.raises(ValueError, match="x0"):
+        if solver == "rcg":
+            rcg(StandardMetric(), p, x0)
+        else:
+            lpr_solve(p, x0=x0)

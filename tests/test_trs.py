@@ -9,6 +9,7 @@ from spheretrs import (
     DenseOp,
     DiagonalOp,
     GenSpec,
+    SolverConfig,
     augment,
     classify,
     enumerate_affine_eigenvalues,
@@ -231,3 +232,18 @@ def test_boundary_solve_classifies_once():
     lifted = solve_trs(p0, "always_augment", eig=eig)
     assert lifted.case_kind == classify(augment(p0), trs_mod.lift_eigpair(eig)).kind
     assert lifted.boundary.case.kind == lifted.case_kind
+
+
+@pytest.mark.parametrize("gap", [1e-2, 0.0])
+def test_answers_do_not_depend_on_rng_seed(gap):
+    p, _ = generate(GenSpec(n=40, gap=gap, seed=2))
+    eig = min_eigpair(p.a)
+    assert classify(p, eig).kind == ("easy" if gap else "hard")
+    xs = {}
+    for seed in (0, 55):
+        cfg = SolverConfig(rng_seed=seed)
+        xs[seed] = [lpr_solve(p, cfg=cfg, eig=eig).x] + [
+            solve_trs(p, strategy, cfg, eig=eig).x for strategy in ("decide", "always_augment")
+        ]
+    for x0, x55 in zip(xs[0], xs[55]):
+        assert x0.tobytes() == x55.tobytes()
