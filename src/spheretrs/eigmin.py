@@ -1,8 +1,8 @@
 """Matrix-free minimal eigenpair computation.
 
-Block Lanczos with full reorthogonalization.  Problem sizes here are
-moderate, so robustness is preferred over memory: misclassifying a hard
-case poisons the restart logic downstream.
+Block Lanczos with full reorthogonalization.  An iteration with k basis
+columns costs O(n*k) for the new column of the projection and the
+reorthogonalization, plus a partial eigensolve of the k-by-k projection.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import scipy.linalg
 
-from .linop import SymOp
+from .linop import SymOp, require_int
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,23 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray | None) -> np.ndarray
     return q[:, keep]
 
 
-def _rayleigh_ritz(q: np.ndarray, aq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(theta, s)`` of the projection Q'AQ, given ``aq = A Q``;
-    the projection is symmetrized first to wash out roundoff."""
-    h = q.T @ aq
-    return np.linalg.eigh(0.5 * (h + h.T))
+def _lowest_ritz(h: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m`` lowest eigenpairs ``(theta, s)`` of the symmetric ``h``, or
+    all of them when those ``m`` lie within the cluster of ``theta[0]``: the
+    cluster-edge test needs the first Ritz value above the cluster."""
+    if m < len(h):
+        theta, s = scipy.linalg.eigh(h, subset_by_index=[0, m - 1], check_finite=False)
+        if theta[-1] - theta[0] > MinEigResult(float(theta[0]), [], tol, 0).cluster_tol:
+            return theta, s
+    return np.linalg.eigh(h)
+
+
+def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``x`` copied into the leading corner of a Fortran-order rows-by-cols
+    array."""
+    out = np.empty((rows, cols), order="F")
+    out[: x.shape[0], : x.shape[1]] = x
+    return out
 
 
 def min_eigpair(
@@ -60,23 +73,27 @@ def min_eigpair(
     Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
     grouped into the returned basis, approximating the minimal eigenspace
     when the eigenvalue is numerically multiple; the block of two vectors
-    is what makes that detection possible.  Raises ``ValueError`` when
-    ``tol`` is not positive and finite, or when the operator returns a NaN
-    or an infinity.
+    is what makes that detection possible.  Deterministic given ``seed``.
+    Raises ``ValueError`` when ``tol`` is not positive and finite, when
+    ``seed`` is not an integer >= 0, or when the operator returns a NaN or
+    an infinity.
 
     Every iteration adds at least one column to the orthonormal basis, and
     the Ritz decomposition is exact once it has n columns, so the solve
-    returns within n iterations.
+    returns within n iterations.  The basis grows by doubling, so it never
+    holds more than twice the columns in use.
     """
     n = a.dim
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    require_int("seed", seed, 0)
     block = min(2, n)
 
     rng = np.random.default_rng(seed)
     v = _orthonormalize(rng.standard_normal((n, block)), None)
-    basis = np.zeros((n, 0))
-    a_basis = np.zeros((n, 0))
+    # basis and a_basis = A basis hold k columns in use; h = basis' A basis.
+    k = 0
+    basis = a_basis = h = np.empty((0, 0))
 
     iterations = 0
     while True:
@@ -84,18 +101,30 @@ def min_eigpair(
         while v.shape[1] == 0:
             # Krylov breakdown: restart with fresh random directions in the
             # orthogonal complement, which is non-empty below n columns.
-            v = _orthonormalize(rng.standard_normal((n, block)), basis)
-        basis = np.hstack([basis, v])
+            v = _orthonormalize(rng.standard_normal((n, block)), basis[:, :k])
         av = a.apply_block(v)
         if not np.isfinite(av).all():
             # One O(n*block) test per iteration instead of one per matvec.
             raise ValueError("operator output is non-finite (NaN or infinity)")
-        a_basis = np.hstack([a_basis, av])
+        b = v.shape[1]
+        if k + b > basis.shape[1]:
+            cap = min(n, max(2 * basis.shape[1], k + b))
+            basis, a_basis = _widen(basis, n, cap), _widen(a_basis, n, cap)
+            h = _widen(h, cap, cap)
+        basis[:, k : k + b] = v
+        a_basis[:, k : k + b] = av
+        # Only the new block's column of the projection is computed; the
+        # new diagonal block is symmetrized to wash out roundoff.
+        c = basis[:, : k + b].T @ av
+        h[:k, k : k + b] = c[:k]
+        h[k : k + b, :k] = c[:k].T
+        h[k : k + b, k : k + b] = 0.5 * (c[k:] + c[k:].T)
+        k += b
 
-        theta, s = _rayleigh_ritz(basis, a_basis)
+        theta, s = _lowest_ritz(h[:k, :k], min(k, 2 * block), tol)
         # Once the Krylov space is exhausted the Ritz decomposition is exact,
         # and the residual tests are skipped.
-        exact = basis.shape[1] >= n
+        exact = k >= n
         vecs: List[np.ndarray] = []
         found = MinEigResult(float(theta[0]), vecs, tol, iterations)
         edge = int(np.count_nonzero(theta - theta[0] <= found.cluster_tol))
@@ -104,9 +133,9 @@ def min_eigpair(
         # lambda_min could still be hiding above it.  The smallest Ritz pair
         # is tested first, so most iterations stop at j = 0.
         for j in range(edge if exact else min(edge + 1, len(theta))):
-            y = basis @ s[:, j]
+            y = basis[:, :k] @ s[:, j]
             if not exact and np.linalg.norm(
-                a_basis @ s[:, j] - theta[j] * y
+                a_basis[:, :k] @ s[:, j] - theta[j] * y
             ) > tol * max(1.0, abs(theta[j])):
                 break
             if j < edge:
@@ -114,4 +143,4 @@ def min_eigpair(
         else:
             return found
 
-        v = _orthonormalize(av, basis)
+        v = _orthonormalize(av, basis[:, :k])

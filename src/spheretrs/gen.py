@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .btrs import AffineEigenpair, BtrsProblem
-from .linop import DenseOp
+from .linop import DenseOp, require_int
 from .solvers import haar_unit
 
 
@@ -29,8 +29,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        require_int("n", self.n, 2)
         if not (0.0 <= self.noise_frac <= 1.0):
             raise ValueError("noise_frac must lie in [0, 1]")
         lo, hi = self.signal_range
@@ -42,8 +41,7 @@ class GenSpec:
             raise ValueError("gap must be finite and nonnegative")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        require_int("seed", self.seed, 0)
 
 
 def _spectrum(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:

@@ -31,6 +31,12 @@ def require_finite(name: str, value) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Reject an input ``name`` that is not an integer >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class SymOp:
     """Abstract symmetric linear operator on R^n.
 

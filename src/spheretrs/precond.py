@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btrs import BtrsProblem
-from .eigmin import _orthonormalize, _rayleigh_ritz
-from .linop import EigLowRankOp, SymOp
+from .eigmin import _orthonormalize
+from .linop import EigLowRankOp, SymOp, require_int
 
 #: Columns :func:`build_eig_seed` draws beyond the requested rank.
 OVERSAMPLE = 10
@@ -103,11 +103,12 @@ def build_eig_seed(
     eigendecomposition to the ``rank`` largest-magnitude eigenpairs.  The
     complement eigenvalue is 0 so that off the captured subspace the metric
     reduces to the phi(-mu_x) shift alone.  Deterministic given ``seed``.
+    Raises ``ValueError`` naming the field when ``rank`` is not an integer
+    >= 1, or ``oversample`` or ``seed`` not an integer >= 0.
     """
-    if rank < 1:
-        raise ValueError("sketch rank must be >= 1")
-    if oversample < 0:
-        raise ValueError(f"sketch oversample must be >= 0, got {oversample}")
+    require_int("rank", rank, 1)
+    require_int("oversample", oversample, 0)
+    require_int("seed", seed, 0)
     n = a.dim
     if rank + oversample > n:
         raise ValueError("rank + oversample must not exceed the dimension")
@@ -122,7 +123,9 @@ def build_eig_seed(
     if q.shape[1] < rank:
         # A redraw cannot help: the deficiency comes from A's spectrum.
         raise ValueError("sketch is rank deficient; matrix rank below request")
-    w, s = _rayleigh_ritz(q, a.apply_block(q))
+    # Rayleigh-Ritz on the projection, symmetrized to wash out roundoff.
+    h = q.T @ a.apply_block(q)
+    w, s = np.linalg.eigh(0.5 * (h + h.T))
     order = np.argsort(-np.abs(w))[:rank]
     u = q @ s[:, order]
     # Re-orthonormalize to wash out roundoff from the two-stage product.

@@ -28,7 +28,7 @@ import numpy as np
 from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import MetricScheme, StandardMetric
-from .linop import CallbackOp, DenseOp
+from .linop import CallbackOp, DenseOp, require_int
 from .oracle import global_solve
 
 STATUS_CONVERGED = "converged"
@@ -58,10 +58,8 @@ class SolverConfig:
     armijo_c: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        for name, least in (("max_iter", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_int("max_iter", self.max_iter, 1)
+        require_int("rng_seed", self.rng_seed, 0)
         for name in ("tol_grad", "tol_res"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

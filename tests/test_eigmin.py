@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from spheretrs import CallbackOp, DenseOp, DiagonalOp, GenSpec, generate, min_eigpair
+from spheretrs import (
+    CallbackOp,
+    DenseOp,
+    DiagonalOp,
+    GenSpec,
+    classify,
+    generate,
+    min_eigpair,
+)
+from spheretrs.eigmin import _lowest_ritz
 
 
 def test_multiplicity_two_basis():
@@ -53,6 +62,7 @@ def test_residual_bound_respected():
         np.array([2.0]),
         np.array([2.0, -1.0]),
         np.array([2.0, 2.0]),
+        np.repeat(np.arange(1.0, 41.0), 4),
     ],
 )
 @pytest.mark.parametrize("opaque", [False, True])
@@ -60,6 +70,9 @@ def test_residual_bound_respected():
 def test_returns_within_n_iterations(d, opaque, tol):
     # tol=1e-30 sits below roundoff, so the residual tests fail until the
     # Krylov space is exhausted, and the identity breaks down and redraws.
+    # Four copies of 40 eigenvalues hold a block Krylov space of at most 80
+    # of the 160 columns: the basis outgrows its first allocations and, at
+    # tol=1e-30, reaches n only through redraws.
     a = CallbackOp(lambda v: d * v, d.size) if opaque else DiagonalOp(d)
     for seed in range(3):
         res = min_eigpair(a, tol=tol, seed=seed)
@@ -73,3 +86,50 @@ def test_rejects_bad_tol(tol):
     a = generate(GenSpec(n=20, gap=1.0, seed=1))[0].a
     with pytest.raises(ValueError, match="^tol "):
         min_eigpair(a, tol=tol)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "0"])
+def test_rejects_bad_seed(seed):
+    a = DiagonalOp(np.arange(1.0, 6.0))
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        min_eigpair(a, seed=seed)
+
+
+_PD = dict(noise_frac=0.0, signal_range=(1.0, 10.0))
+
+
+@pytest.mark.parametrize(
+    "gap, kw, kind",
+    [
+        (2.0, {}, "easy"),
+        (1e-2, {}, "easy"),
+        (1e-8, {}, "hard"),
+        (0.0, {}, "hard"),
+        (0.5, _PD, "easy"),
+        (2.0, _PD, "easy"),
+    ],
+)
+def test_bench_grid_parity(gap, kw, kind):
+    p, _ = generate(GenSpec(n=500, gap=gap, seed=1, **kw))
+    res = min_eigpair(p.a)
+    dense = p.a.to_dense()
+    lam = np.linalg.eigvalsh(dense)[0]
+    assert abs(res.lambda_min - lam) <= 1e-12 * max(1.0, abs(lam))
+    u = res.basis[0]
+    assert np.linalg.norm(dense @ u - res.lambda_min * u) <= res.cluster_tol
+    assert classify(p, res).kind == kind
+
+
+def test_lowest_ritz_takes_the_full_decomposition_inside_a_cluster():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    for spectrum, count in (
+        (np.r_[np.ones(5), np.arange(2.0, 9.0)], 12),  # 5-fold lowest cluster
+        (np.arange(1.0, 13.0), 4),
+    ):
+        h = q @ np.diag(spectrum) @ q.T
+        h = 0.5 * (h + h.T)
+        theta, s = _lowest_ritz(h, 4, 1e-10)
+        assert len(theta) == count
+        assert np.allclose(theta, np.linalg.eigh(h)[0][:count], atol=1e-12)
+        assert np.allclose(h @ s, s * theta, atol=1e-12)

@@ -135,6 +135,15 @@ def test_build_eig_seed_deterministic_and_validated():
         build_eig_seed(a, rank=15, oversample=10)
     with pytest.raises(ValueError, match="oversample"):
         build_eig_seed(a, rank=4, oversample=-3)
+    for field, kwargs in (
+        ("rank", dict(rank=1.5)),
+        ("oversample", dict(rank=2, oversample=1.5)),
+        ("seed", dict(rank=4, seed=None)),
+        ("seed", dict(rank=4, seed=-1)),
+        ("seed", dict(rank=4, seed=1.5)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            build_eig_seed(a, **kwargs)
 
 
 def test_kappa_bound_trivial_cases():
