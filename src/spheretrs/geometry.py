@@ -125,13 +125,32 @@ def retract(x, eta) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
+class PointState:
+    """What a descent step needs at x, built from ``ax = A x`` with no
+    operator application: b'x, x'Ax, Ax + b, mu_x, q (computed afresh unless
+    given), M_x, the gradient g = P_x M_x^{-1} (Ax + b), M_x g, g(g, g) and
+    the residual norm ||mu_x x - Ax - b||."""
+
+    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "lm", "g", "mg", "gg", "rn")
+
+    def __init__(self, m: MetricScheme, p: BtrsProblem, x, ax, q: float | None = None):
+        self.x, self.ax = x, ax
+        self.bx = bx = float(p.b @ x)
+        self.xax = xax = float(x @ ax)
+        self.mu = mu = xax + bx
+        self.q = 0.5 * xax + bx if q is None else q
+        self.axb = ax + p.b
+        self.lm = lm = m.at(p, x, mu)
+        self.g = g = lm.project(lm.minv(self.axb))
+        self.mg = lm.mapply(g)
+        self.gg = float(g @ self.mg)
+        self.rn = float(np.linalg.norm(mu * x - ax - p.b))
+
+
 def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> np.ndarray:
     """Riemannian gradient P_x M_x^{-1} (Ax + b) of q at x."""
     x = np.asarray(x, dtype=float)
-    if ax is None:
-        ax = p.a.apply(x)
-    lm = m.at(p, x, affine_rayleigh(p, x, ax))
-    return lm.project(lm.minv(ax + p.b))
+    return PointState(m, p, x, p.a.apply(x) if ax is None else ax).g
 
 
 def transport(m: MetricScheme, p: BtrsProblem, x, eta, xi) -> np.ndarray:

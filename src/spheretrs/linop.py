@@ -32,8 +32,10 @@ def require_finite(name: str, value) -> None:
 
 
 def require_int(name: str, value, least: int) -> None:
-    """Reject an input ``name`` that is not an integer >= ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """Reject an input ``name`` that is not an integer >= ``least``; a bool
+    is not taken for an integer."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -47,8 +49,7 @@ class SymOp:
     dim: int
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("operator dimension must be positive")
+        require_int("dim", dim, 1)
         self.dim = int(dim)
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:

@@ -74,6 +74,12 @@ class PhiFilter:
     floor: float
     smoothing: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.floor):
+            raise ValueError(f"floor must be finite, got {self.floor!r}")
+        if not 0.0 < self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing!r}")
+
     def __call__(self, alpha: float) -> float:
         t = (alpha - self.floor) / self.smoothing
         # log(1 + e^t) = max(t, 0) + log1p(e^{-|t|})

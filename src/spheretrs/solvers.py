@@ -8,11 +8,12 @@ keep iterates inside the set S_E = {x : (v'b)(v'x) <= 0 for all
 minimal eigenvectors v}, which is what makes the -b/||b|| start reach the
 global optimum in the easy case.
 
-Cost model: one operator application per descent step (the ``A d`` of the
-line search; ``A x`` at the accepted point follows by linearity), plus a
-fresh ``A x`` every ``K`` accepted steps and before any verdict (residual
-replacement), so a returned ``mu``, ``q`` and residual never rest on the
-recurrence.
+Cost model: the descent loop applies A in two places.  The line search's
+``A d`` is one application per descent step (``A x`` at the accepted point
+follows by linearity).  A fresh ``A x`` is taken at the start, every ``K``
+accepted steps and before any verdict or return (residual replacement), so
+a returned ``mu``, ``q`` and residual never rest on the recurrence.  The
+state at a point is one :class:`~spheretrs.geometry.PointState`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import MetricScheme, StandardMetric
+from .geometry import MetricScheme, PointState, StandardMetric
 from .linop import CallbackOp, DenseOp, require_int
 from .oracle import global_solve
 
@@ -162,11 +163,11 @@ class _NonFinite(ValueError):
     """The operator returned a NaN or an infinity inside a line search."""
 
 
-def _armijo(p, x, q0, ax, d, decrease, cfg, t_cap, exact_init=False):
-    """Backtracking line search along y(t) = (x + t d)/||x + t d||; accept
-    when q(x) - q(y) >= t * c * decrease.  Returns (t, y, ay, qy) or
-    (None,)*4 when no acceptable step exists above 1e-18.  Raises
-    :class:`_NonFinite` when d'Ad is not finite.
+def _armijo(p, s, d, decrease, cfg, t_cap, exact_init=False):
+    """Backtracking line search from the :class:`PointState` ``s`` along
+    y(t) = (x + t d)/||x + t d||; accept when q(x) - q(y) >= t * c * decrease.
+    Returns (t, y, ay, qy) or (None,)*4 when no acceptable step exists above
+    1e-18.  Raises :class:`_NonFinite` when d'Ad is not finite.
 
     One operator application per call: ``A d`` feeds the decrease scalars,
     and ``ay = (ax + t A d) / ||x + t d||`` follows by linearity, so ``ay``
@@ -182,16 +183,11 @@ def _armijo(p, x, q0, ax, d, decrease, cfg, t_cap, exact_init=False):
     """
     c = cfg.armijo_c
     tau = cfg.armijo_tau
-    b = p.b
-    # Scalars for the exact expansion of q((x+td)/||x+td||) - q(x).  The
-    # first-order term d'(Ax+b) is a single dot product, so the computed
-    # decrease keeps full relative accuracy even when it is far below the
-    # rounding level of q itself.
+    x, bx, xax = s.x, s.bx, s.xax
+    # Scalars for the exact expansion of q((x+td)/||x+td||) - q(x).
     ad = p.a.apply(d)
-    bx = float(b @ x)
-    bd = float(b @ d)
-    xax = float(x @ ax)
-    de = float(d @ (ax + b))
+    bd = float(p.b @ d)
+    de = float(d @ s.axb)
     dad = float(d @ ad)
     if not math.isfinite(dad):
         raise _NonFinite("operator output is non-finite (NaN or infinity)")
@@ -199,21 +195,21 @@ def _armijo(p, x, q0, ax, d, decrease, cfg, t_cap, exact_init=False):
     dd = float(d @ d)
     t = t_cap
     if exact_init:
-        curv = dad - dd * (xax + bx)
+        curv = dad - dd * s.mu
         if de < 0.0 and curv > 0.0:
             t = -de / curv
     while t >= 1e-18:
         s2m1 = 2.0 * t * xd + t * t * dd  # ||x+td||^2 - 1
         s2 = 1.0 + s2m1
-        s = np.sqrt(s2)
-        sm1 = s2m1 / (1.0 + s)
+        sq = np.sqrt(s2)
+        sm1 = s2m1 / (1.0 + sq)
         dq = (
             t * de + t * bd * sm1 + 0.5 * t * t * dad - 0.5 * xax * s2m1
-        ) / s2 - bx * sm1 / s
+        ) / s2 - bx * sm1 / sq
         if -dq >= t * c * decrease:
             y = x + t * d
             ny = np.linalg.norm(y)
-            return t, y / ny, (ax + t * ad) / ny, q0 + dq
+            return t, y / ny, (s.ax + t * ad) / ny, s.q + dq
         t *= tau
     return None, None, None, None
 
@@ -229,16 +225,16 @@ def _descent_loop(
     """Shared RGD/RCG loop with Armijo backtracking and a combined
     gradient-norm / stationarity-residual stopping rule.
 
-    ``A x`` is carried by the recurrence of :func:`_armijo` and replaced by
-    a fresh product every ``K`` accepted steps.  A stopping test passed on a
-    recurrence value is repeated on a fresh ``A x``; if it then fails, the
-    loop continues from the steepest-descent direction.  A ``max_iter`` or
-    stalled return is refreshed too, so the result and the final trace row
-    carry a fresh ``mu``, ``q`` and residual.  A ``mu`` or a line search's
-    d'Ad that is not finite (the operator returned a NaN or an infinity)
-    ends the loop with status ``failed`` and reason ``non-finite``.
+    The current point is one :class:`PointState`.  Its ``A x`` is carried
+    by the recurrence of :func:`_armijo` and replaced by a fresh product every
+    ``K`` accepted steps.  A stopping test passed on a recurrence value is
+    repeated on a fresh ``A x``; if it then fails, the loop continues from
+    the steepest-descent direction.  A ``max_iter`` or stalled return is
+    refreshed too, so the result and the final trace row carry a fresh
+    ``mu``, ``q`` and residual.  A ``mu`` or a line search's d'Ad that is
+    not finite (the operator returned a NaN or an infinity) ends the loop
+    with status ``failed`` and reason ``non-finite``.
     """
-    b = p.b
     eff_tol_res = cfg.tol_res * max(1.0, p.b_norm)
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
@@ -248,53 +244,40 @@ def _descent_loop(
     trace = SolveTrace()
     t_start = time.perf_counter()
 
-    def at(x, ax, q=None):
-        """State at x from ``ax``: (ax, q, mu, M_x, g, M_x g, g(g, g),
-        residual norm); q is computed afresh unless given."""
-        bx = float(b @ x)
-        xax = float(x @ ax)
-        mu = xax + bx
-        lm = m.at(p, x, mu)
-        g = lm.project(lm.minv(ax + b))
-        mg = lm.mapply(g)
-        if q is None:
-            q = 0.5 * xax + bx
-        rn = float(np.linalg.norm(mu * x - ax - b))
-        return ax, q, mu, lm, g, mg, float(g @ mg), rn
+    def fresh(x):
+        return PointState(m, p, x, p.a.apply(x))
 
     def record():
         trace.record(
-            q,
-            np.sqrt(max(gg, 0.0)),
-            rn,
+            s.q,
+            np.sqrt(max(s.gg, 0.0)),
+            s.rn,
             step,
             time.perf_counter() - t_start,
-            x.copy() if cfg.record_iterates else None,
+            s.x.copy() if cfg.record_iterates else None,
         )
 
     x = np.asarray(x0, dtype=float)
     if not (np.isfinite(x).all() and np.linalg.norm(x) > 0):
         raise ValueError("x0 must be finite and nonzero")
-    x = x / np.linalg.norm(x)
-    ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
-    d = -g
-    dg = -gg  # g(d, grad)
+    s = fresh(x / np.linalg.norm(x))
+    d = -s.g
+    dg = -s.gg  # g(d, grad)
     since_reset = 0
-    stale = 0  # accepted steps since ax was last a fresh product
+    stale = 0  # accepted steps since s.ax was last a fresh product
     status = STATUS_MAX_ITER
     reason = ""
     step = 0.0
 
     for _ in range(cfg.max_iter):
-        done = gg <= tol_gg and rn <= eff_tol_res
+        done = s.gg <= tol_gg and s.rn <= eff_tol_res
         if done and stale:
             # The test passed on the recurrence: decide on a fresh A x.
-            ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
-            stale = 0
-            done = gg <= tol_gg and rn <= eff_tol_res
+            s, stale = fresh(s.x), 0
+            done = s.gg <= tol_gg and s.rn <= eff_tol_res
             if not done:
-                d, dg, since_reset = -g, -gg, 0
-        if not math.isfinite(mu):
+                d, dg, since_reset = -s.g, -s.gg, 0
+        if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
             break
         record()
@@ -303,9 +286,7 @@ def _descent_loop(
             break
 
         try:
-            t, y, ay, qy = _armijo(
-                p, x, q, ax, d, -dg, cfg, t_cap, exact_init=not m.capped_step
-            )
+            t, y, ay, qy = _armijo(p, s, d, -dg, cfg, t_cap, exact_init=not m.capped_step)
         except _NonFinite:
             status, reason = STATUS_FAILED, "non-finite"
             break
@@ -315,41 +296,36 @@ def _descent_loop(
             break
         step = t
 
-        if use_cg:
-            g_old, gg_old, d_old = g, gg, d
-        stale += 1
-        if stale == K:
-            ay, qy, stale = p.a.apply(y), None, 0
-        x = y
-        ax, q, mu, lm, g, mg, gg, rn = at(x, ay, qy)
+        old, stale = s, (stale + 1) % K
+        s = PointState(m, p, y, ay, qy) if stale else fresh(y)
 
         if use_cg:
             since_reset += 1
             # Transport the previous gradient and direction by projection.
-            tg = lm.project(g_old)
-            td = lm.project(d_old)
-            mtg = lm.mapply(tg)
+            tg = s.lm.project(old.g)
+            td = s.lm.project(d)
+            mtg = s.lm.mapply(tg)
             # Polak-Ribiere+ with metric inner products.
-            beta = float(g @ mg - g @ mtg) / gg_old if gg_old > 0 else 0.0
+            beta = float(s.g @ s.mg - s.g @ mtg) / old.gg if old.gg > 0 else 0.0
             beta = max(0.0, beta)
-            d = -g + beta * td
-            dg = float(d @ mg)
+            d = -s.g + beta * td
+            dg = float(d @ s.mg)
         if not use_cg or dg >= 0.0 or since_reset >= p.dim:
-            d, dg, since_reset = -g, -gg, 0
+            d, dg, since_reset = -s.g, -s.gg, 0
 
     if stale and reason != "non-finite":
-        ax, q, mu, lm, g, mg, gg, rn = at(x, p.a.apply(x))
-        if not math.isfinite(mu):
+        s = fresh(s.x)
+        if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
         elif status == STATUS_FAILED:
             # The last row holds this same point: restate it from the fresh A x.
-            trace.q[-1] = q
-            trace.grad_norm[-1] = np.sqrt(max(gg, 0.0))
-            trace.res_norm[-1] = rn
+            trace.q[-1] = s.q
+            trace.grad_norm[-1] = np.sqrt(max(s.gg, 0.0))
+            trace.res_norm[-1] = s.rn
     if status == STATUS_MAX_ITER:
         # The loop exhausted its budget after taking a step; log the final point.
         record()
-    return SolveResult(x=x, mu=mu, q=q, status=status, trace=trace, reason=reason)
+    return SolveResult(x=s.x, mu=s.mu, q=s.q, status=status, trace=trace, reason=reason)
 
 
 def rcg(

@@ -81,7 +81,7 @@ def test_spec_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise_std"):
             GenSpec(n=5, gap=1.0, noise_std=bad)
-    for bad in (-1, 1.5):
+    for bad in (-1, 1.5, False, True):
         with pytest.raises(ValueError, match="seed"):
             GenSpec(n=5, gap=1.0, seed=bad)
     for bad in (1, 2.5, "5"):

@@ -60,6 +60,13 @@ def test_eiglowrank_requires_orthonormal_factor():
         EigLowRankOp(u, np.array([1.0, 2.0]))
 
 
+def test_operator_dimension_validated():
+    for bad in (0, -2, 2.5, "5", True):
+        with pytest.raises(ValueError, match="^dim must be an integer >= 1"):
+            CallbackOp(lambda v: v, bad)
+    assert CallbackOp(lambda v: v, np.int64(3)).dim == 3
+
+
 def test_dimension_mismatch():
     a = DiagonalOp(np.array([1.0, 2.0]))
     with pytest.raises(DimensionMismatchError):

@@ -35,6 +35,19 @@ def test_phi_regimes():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_phi_rejects_bad_fields():
+    for field, kwargs in (
+        ("floor", dict(floor=float("nan"), smoothing=1.0)),
+        ("floor", dict(floor=-float("inf"), smoothing=1.0)),
+        ("smoothing", dict(floor=1.0, smoothing=0.0)),
+        ("smoothing", dict(floor=1.0, smoothing=-1e-3)),
+        ("smoothing", dict(floor=1.0, smoothing=float("nan"))),
+        ("smoothing", dict(floor=1.0, smoothing=float("inf"))),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PhiFilter(**kwargs)
+
+
 def test_eigseed_blockwise_solve():
     # M + I = diag(4, 1): range(U) scales by 1/4, the complement by 1/1.
     u = np.array([[1.0], [0.0]])
@@ -137,6 +150,7 @@ def test_build_eig_seed_deterministic_and_validated():
         build_eig_seed(a, rank=4, oversample=-3)
     for field, kwargs in (
         ("rank", dict(rank=1.5)),
+        ("rank", dict(rank=True)),
         ("oversample", dict(rank=2, oversample=1.5)),
         ("seed", dict(rank=4, seed=None)),
         ("seed", dict(rank=4, seed=-1)),

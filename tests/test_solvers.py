@@ -45,12 +45,14 @@ def test_config_validation():
         ("max_iter", 0),
         ("max_iter", -3),
         ("max_iter", 2.5),
+        ("max_iter", True),
         ("tol_grad", -1e-8),
         ("tol_grad", float("nan")),
         ("tol_res", -1.0),
         ("tol_res", float("inf")),
         ("rng_seed", -1),
         ("rng_seed", 1.5),
+        ("rng_seed", False),
     ]:
         with pytest.raises(ValueError, match=f"^{field} "):
             SolverConfig(**{field: bad})
@@ -266,46 +268,48 @@ def _counted_run(kind, cfg, gap=1.0):
     p0, _ = generate(GenSpec(n=30, gap=gap, seed=3))
     p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
     x0 = -p.b / p.b_norm
-    pre = None
-    if kind == "naive_rgd":
-        run = lambda: naive_rgd(p, x0, cfg)
-    elif kind == "rcg":
-        run = lambda: rcg(StandardMetric(), p, x0, cfg)
-    else:
+    m, pre = StandardMetric(), None
+    if kind == "seeded_rcg":
         pre = CountingSeed(build_eig_seed(p.a, rank=5, seed=0))
         m = SeededMetric(pre, make_phi(pre, p))  # the norm estimate applies A
-        run = lambda: rcg(m, p, x0, cfg)
     p.a.applies = 0
-    res = run()
-    return p, res, p.a.applies, pre
+    res = naive_rgd(p, x0, cfg) if kind == "naive_rgd" else rcg(m, p, x0, cfg)
+    return p, m, res, p.a.applies, pre
 
 
-def _assert_fresh(p, res):
+def _assert_fresh(p, m, res):
     ax = p.a.to_dense() @ res.x
     mu = float(res.x @ ax) + float(p.b @ res.x)
     q = 0.5 * float(res.x @ ax) + float(p.b @ res.x)
     rn = float(np.linalg.norm(residual(p, res.x, res.mu)))
+    g = rgrad(m, p, res.x)
+    gn = math.sqrt(metric_inner(m, p, res.x, g, g))
     assert abs(res.mu - mu) <= 1e-12 * max(1.0, abs(mu))
     assert abs(res.q - q) <= 1e-12 * max(1.0, abs(q))
     assert res.trace.q[-1] == res.q
     assert abs(res.trace.res_norm[-1] - rn) <= 1e-12 * rn
+    assert abs(res.trace.grad_norm[-1] - gn) <= 1e-12 * gn
 
 
 @pytest.mark.parametrize("kind", ["naive_rgd", "rcg", "seeded_rcg"])
 def test_one_apply_per_step_and_fresh_results(kind):
-    _, conv, _, _ = _counted_run(kind, SolverConfig())
+    _, _, conv, _, _ = _counted_run(kind, SolverConfig())
     assert conv.converged
-    cfgs = {
-        "converged": SolverConfig(),
-        "max_iter": SolverConfig(max_iter=len(conv.trace.iters) - 3),
-        "failed": SolverConfig(tol_grad=0.0, tol_res=0.0, max_iter=100000),
-    }
-    for status, cfg in cfgs.items():
-        p, res, applies, _ = _counted_run(kind, cfg)
+    rows = len(conv.trace.iters)
+    # A budget below the converged run's row count ends at max_iter; the
+    # budgets K - 1, K and K + 1 end just before, at and just after the
+    # K-step refresh of A x.
+    budget = lambda k: ("max_iter" if k < rows else "converged", SolverConfig(max_iter=k))
+    cases = [budget(k) for k in (rows - 3, K - 1, K, K + 1)] + [
+        ("converged", SolverConfig()),
+        ("failed", SolverConfig(tol_grad=0.0, tol_res=0.0, max_iter=100000)),
+    ]
+    for status, cfg in cases:
+        p, m, res, applies, _ = _counted_run(kind, cfg)
         assert res.status == status
         steps = len(res.trace.iters) - 1
         assert applies <= steps + math.ceil(steps / K) + 2
-        _assert_fresh(p, res)
+        _assert_fresh(p, m, res)
 
 
 def test_b_zero_run_estimates_the_norm_once():
@@ -319,7 +323,7 @@ def test_b_zero_run_estimates_the_norm_once():
 
 
 def test_seeded_rcg_two_shifted_solves_per_step():
-    _, res, _, pre = _counted_run("seeded_rcg", SolverConfig(), gap=1e-2)
+    _, _, res, _, pre = _counted_run("seeded_rcg", SolverConfig(), gap=1e-2)
     assert res.converged
     steps = len(res.trace.iters) - 1
     assert steps > 5
