@@ -76,12 +76,10 @@ def objective(p: BtrsProblem, x) -> float:
     return 0.5 * float(x @ p.a.apply(x)) + float(p.b @ x)
 
 
-def affine_rayleigh(p: BtrsProblem, x, ax: np.ndarray | None = None) -> float:
+def affine_rayleigh(p: BtrsProblem, x) -> float:
     """mu_x = x'Ax + b'x, the residual-minimizing eigenvalue guess for x."""
     x = np.asarray(x, dtype=float)
-    if ax is None:
-        ax = p.a.apply(x)
-    return float(x @ ax) + float(p.b @ x)
+    return float(x @ p.a.apply(x)) + float(p.b @ x)
 
 
 def residual(p: BtrsProblem, x, mu: float) -> np.ndarray:

@@ -89,7 +89,8 @@ def generate(spec: GenSpec) -> Tuple[BtrsProblem, AffineEigenpair]:
     if spec.gap > 0:
         # ||b|| = ||(A - mu_star I) x_star|| >= gap > 0.
         x_star = haar_unit(spec.n, rng)
-        b = -(a.apply(x_star) - mu_star * x_star)
+        # From the full array, so b does not depend on DenseOp's apply kernel.
+        b = -(a.matrix @ x_star - mu_star * x_star)
     else:
         # Hard case: mu_star = lambda_min, b orthogonal to the minimal
         # eigenvector u = q[:, 0].  Pick coefficients y_i for i >= 1 with

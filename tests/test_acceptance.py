@@ -345,29 +345,41 @@ def test_09_geometry_suite(report):
 
 
 def test_10_hard_case_first_start(report):
-    stuck_ok = True
-    hits = 0
+    # Each gen instance is rotated into A's eigenbasis with u'b = 0 set
+    # exactly (u = e_0), so the invariant set {x : x_0 = 0} that traps the
+    # -b start holds in floating point rather than up to roundoff.
+    stuck = escaped = hits = 0
     for seed in range(20):
         n = 10 + (seed * 3) % 31
         p, _ = generate(GenSpec(n=n, gap=0.0, seed=seed))
+        lam, v = np.linalg.eigh(p.a.to_dense())
+        b = v.T @ p.b
+        b[0] = 0.0
+        p = BtrsProblem(a=DenseOp(np.diag(lam)), b=b)
         rep = enumerate_affine_eigenvalues(p)
         q_star = objective(p, rep.global_.x)
+        others = np.array([pair.mu for pair in rep.affine_eigs if pair is not rep.global_])
         cfg = SolverConfig(rng_seed=seed)
 
-        res1 = naive_rgd(p, -p.b / p.b_norm, cfg)
-        mus = np.array([pair.mu for pair in rep.affine_eigs])
-        near_listed = np.min(np.abs(mus - res1.mu)) <= 1e-6 * (1.0 + abs(res1.mu))
-        if not (res1.mu > rep.lambda_[0] + 1e-10 and near_listed):
-            stuck_ok = False
+        def trapped(res):
+            near_listed = np.min(np.abs(others - res.mu)) <= 1e-6 * (1.0 + abs(res.mu))
+            return res.x[0] == 0.0 and res.mu > lam[0] + 1e-10 and near_listed
+
+        x0 = -p.b / p.b_norm
+        stuck += trapped(naive_rgd(p, x0, cfg))
+        # The same start moved off the set by 1e-8 e_0 must escape it.
+        x0[0] += 1e-8
+        escaped += not trapped(naive_rgd(p, x0 / np.linalg.norm(x0), cfg))
 
         rng = np.random.default_rng(seed + 1000)
         res2 = naive_rgd(p, haar_unit(n, rng), cfg)
         if abs(res2.q - q_star) <= 1e-8 * (1.0 + abs(q_star)):
             hits += 1
-    ok = stuck_ok and hits >= 19
+    ok = stuck == 20 and escaped == 20 and hits >= 19
     report(
         10,
         "hard case defeats the deterministic start, random start recovers",
         ok,
+        f"-b start stuck in {stuck}/20, moved off the set escapes in {escaped}/20, "
         f"random start global in {hits}/20 runs",
     )

@@ -22,6 +22,32 @@ def test_dense_apply():
     assert np.allclose(a.apply(v), [-1.0, -3.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_dense_apply_matches_full_product(n):
+    rng = np.random.default_rng(n)
+    m = _sym(rng, n)
+    a = DenseOp(m)
+    block = rng.standard_normal((n, 3))
+    # A column of a C-order block is strided, as the base apply_block passes it.
+    for v in (block[:, 0].copy(), block[:, 1]):
+        tol = 1e-13 * np.linalg.norm(m, 2) * np.linalg.norm(v)
+        assert np.linalg.norm(a.apply(v) - m @ v) <= tol
+
+
+def test_dense_apply_reads_one_triangle():
+    rng = np.random.default_rng(3)
+    n = 9
+    a = DenseOp(_sym(rng, n))
+    v = rng.standard_normal(n)
+    want = a.apply(v)
+    unread = []
+    for rows, cols in (np.triu_indices(n, 1), np.tril_indices(n, -1)):
+        planted = DenseOp(a.matrix)
+        planted.matrix[rows, cols] = 1e6
+        unread.append(np.array_equal(planted.apply(v), want))
+    assert unread.count(True) == 1
+
+
 def test_dense_symmetrizes_mild_asymmetry():
     m = np.array([[1.0, 2.0 + 1e-14], [2.0, 5.0]])
     a = DenseOp(m)
