@@ -8,8 +8,10 @@ Subcommands:
   bench     sweep gaps x seeds x solvers, one trace CSV per run + summary
 
 Exit codes: 0 converged, 2 iteration budget exhausted, 1 any error.
-Every trace CSV gets a .manifest.json sidecar recording the command, the
-configuration and a hash of the problem file.
+The trace CSV of ``solve --trace`` and ``trs --trace`` gets a
+.manifest.json sidecar recording the command, the configuration and a hash
+of the problem file; ``bench``'s per-run traces get none (its runs.json
+holds each run's row).
 """
 
 from __future__ import annotations

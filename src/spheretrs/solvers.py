@@ -440,7 +440,8 @@ def lpr_solve(
     with u'b != 0 certifies the easy case; the inner solver then runs with
     its stationarity test tightened to ||r|| <= |u'b|/2, and any return
     with mu >= lambda_min(A) is reflected across u and restarted.  In the
-    hard case one run suffices: no non-global stationary point has u'x != 0.
+    hard case the first run is returned, with the default stationarity test:
+    no non-global stationary point has u'x != 0.
     """
     if inner not in ("rgd", "rcg"):
         raise ValueError("inner solver must be 'rgd' or 'rcg'")
@@ -452,16 +453,14 @@ def lpr_solve(
     if x0 is None:
         x0 = (-1.0 if float(u @ p.b) > 0 else 1.0) * u - p.b
 
-    if not case.is_easy:
-        return replace(_descent_loop(m, p, x0, cfg, use_cg), case=case)
-
+    res_cap = case.alpha / 2.0 if case.is_easy else None
     x = x0
     trace = SolveTrace()
     restarts = 0
     while True:
-        res = _descent_loop(m, p, x, cfg, use_cg, res_cap=case.alpha / 2.0)
+        res = _descent_loop(m, p, x, cfg, use_cg, res_cap=res_cap)
         trace.extend(res.trace)
-        if res.status == STATUS_FAILED or res.mu < eig.lambda_min:
+        if not case.is_easy or res.status == STATUS_FAILED or res.mu < eig.lambda_min:
             return replace(res, trace=trace, restarts=restarts, case=case)
         restarts += 1
         if restarts > MAX_RESTARTS:

@@ -24,7 +24,6 @@ import scipy.sparse.linalg
 
 from .btrs import BtrsProblem, objective
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import StandardMetric
 from .linop import SymOp
 from .solvers import SolveResult, SolverConfig, lpr_solve
 
@@ -90,26 +89,6 @@ class TrsResult:
         return None if self.boundary is None else self.boundary.case.kind
 
 
-def _interior_attempt(p: BtrsProblem, eig: MinEigResult, tol: float):
-    """Try the unconstrained minimizer -A^{-1}b.
-
-    Returns (y, None) when A is positive definite and ||y|| < 1, (None, None)
-    when the problem is provably a boundary one, and (None, "cg") when the
-    conjugate-gradient solve failed to converge (caller falls back to the
-    augmented route, which needs no linear solve).
-    """
-    if eig.lambda_min <= 1e-10:
-        return None, None
-    n = p.dim
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=p.a.apply)
-    y, info = scipy.sparse.linalg.cg(op, -p.b, rtol=tol, atol=0.0, maxiter=20 * n)
-    if info != 0:
-        return None, "cg"
-    if np.linalg.norm(y) < 1.0 - 1e-12:
-        return y, None
-    return None, None
-
-
 def solve_trs(
     p: BtrsProblem,
     strategy: str = "decide",
@@ -118,10 +97,14 @@ def solve_trs(
 ) -> TrsResult:
     """Solve min q(x) subject to ||x|| <= 1.
 
-    strategy "decide": test for an interior solution (A positive definite
-    and ||A^{-1}b|| < 1), otherwise solve the boundary problem directly.
-    strategy "always_augment": skip the test and solve the lifted problem
-    in dimension n+1; the first coordinate of its solution is slack.
+    The route is chosen once.  strategy "decide" tries the unconstrained
+    minimizer -A^{-1}b by conjugate gradients when A is positive definite
+    ("interior" if it lies inside the ball), otherwise solves the boundary
+    problem directly ("direct").  strategy "always_augment", or a CG solve
+    that fails to converge, solves the lifted problem in dimension n+1
+    ("augmented"), which needs no linear solve; the first coordinate of its
+    solution is slack.  Each boundary route is one ``lpr_solve`` call, and
+    ``q`` is that solve's: the lift's objective equals q(x) exactly.
     """
     if strategy not in ("decide", "always_augment"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -129,36 +112,19 @@ def solve_trs(
     if eig is None:
         eig = min_eigpair(p.a, seed=cfg.rng_seed)
 
-    if strategy == "always_augment":
-        return _solve_augmented(p, cfg, eig)
+    route = "augmented" if strategy == "always_augment" else "direct"
+    if route == "direct" and eig.lambda_min > 1e-10:
+        n = p.dim
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=p.a.apply)
+        tol = min(cfg.tol_res, 1e-10)
+        y, info = scipy.sparse.linalg.cg(op, -p.b, rtol=tol, atol=0.0, maxiter=20 * n)
+        if info != 0:
+            route = "augmented"
+        elif np.linalg.norm(y) < 1.0 - 1e-12:
+            return TrsResult(x=y, q=objective(p, y), route="interior")
 
-    y, failure = _interior_attempt(p, eig, tol=min(cfg.tol_res, 1e-10))
-    if y is not None:
-        return TrsResult(x=y, q=objective(p, y), route="interior")
-    if failure is not None:
-        return _solve_augmented(p, cfg, eig)
-    res = lpr_solve(p, StandardMetric(), cfg=cfg, eig=eig)
-    return TrsResult(
-        x=res.x,
-        q=res.q,
-        route="direct",
-        boundary=res,
+    lifted = route == "augmented"
+    res = lpr_solve(
+        augment(p) if lifted else p, cfg=cfg, eig=lift_eigpair(eig) if lifted else eig
     )
-
-
-def _solve_augmented(p: BtrsProblem, cfg: SolverConfig, eig: MinEigResult) -> TrsResult:
-    """Solve the ball problem through the (n+1)-dimensional sphere lift.
-
-    The lift's minimal eigenpair comes from A's (:func:`lift_eigpair`), so
-    ``lpr_solve`` solves it with no second eigensolve, from its own start;
-    on a positive definite lift that start is :func:`psd_init`'s point.
-    """
-    p_hat = augment(p)
-    res = lpr_solve(p_hat, StandardMetric(), cfg=cfg, eig=lift_eigpair(eig))
-    x = res.x[1:]
-    return TrsResult(
-        x=x,
-        q=objective(p, x),
-        route="augmented",
-        boundary=res,
-    )
+    return TrsResult(x=res.x[1:] if lifted else res.x, q=res.q, route=route, boundary=res)

@@ -74,6 +74,28 @@ def test_trs_command(tmp_path, capsys):
     assert res["route"] == "augmented"
 
 
+
+def test_trs_trace_only_on_a_boundary_route(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    manifest = tmp_path / "t.csv.manifest.json"
+    interior = write_problem(tmp_path, [2.0, 2.0], [0.5, 0.0], "interior.json")
+    assert main(["trs", str(interior), "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "interior"
+    assert not trace.exists() and not manifest.exists()
+
+    boundary = write_problem(tmp_path, [2.0, 2.0], [4.0, 0.0], "boundary.json")
+    for strategy, route in (("decide", "direct"), ("always-augment", "augmented")):
+        argv = ["trs", str(boundary), "--strategy", strategy, "--trace", str(trace)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["route"] == route
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iter,q,grad_norm,res_norm,step,elapsed_s,marker"
+        assert len(lines) > 1
+        assert json.loads(manifest.read_text())["command"] == "trs"
+        trace.unlink()
+        manifest.unlink()
+
+
 def test_oracle_command(tmp_path, capsys):
     path = write_problem(tmp_path, [1.0, 3.0], [1.0, 1.0])
     rc = main(["oracle", str(path)])
@@ -99,6 +121,23 @@ def test_bench_command(tmp_path, capsys):
     summary = (out_dir / "summary.csv").read_text().strip().splitlines()
     assert summary[0].startswith("solver,gap,")
     assert len(summary) == 2
+
+
+
+def test_bench_sketched_solver(tmp_path, capsys):
+    out_dir = tmp_path / "b"
+    rc = main([
+        "bench", "--n", "30", "--gaps", "1e-2", "--seeds", "1",
+        "--solvers", "prc-rcg", "--rank", "5", "--out-dir", str(out_dir),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    (row,) = json.loads((out_dir / "runs.json").read_text())
+    assert row["solver"] == "prc-rcg" and row["status"] == "Converged"
+    assert row["rel_obj_err"] <= 1e-8
+    assert (out_dir / row["trace"]).exists()
+    # bench writes no manifest next to its per-run traces.
+    assert not list(out_dir.glob("*.manifest.json"))
 
 
 def test_bench_rows_follow_grid_order(tmp_path, capsys):

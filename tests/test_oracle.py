@@ -147,3 +147,22 @@ def test_lists_every_affine_eigenvalue():
         real = np.sort(ev.real[np.abs(ev.imag) <= 1e-7 * (1.0 + np.abs(ev.real))])
         assert mus.shape == real.shape, seed
         np.testing.assert_allclose(mus, real, rtol=0, atol=1e-8, err_msg=f"seed {seed}")
+
+
+@pytest.mark.parametrize("second", [1.0, 1.0 + 1e-12])
+def test_repeated_minimal_eigenvalue_is_one_cluster(second):
+    d = [1.0, second, 3.0, 4.0]
+    mus = []
+    # b and its rotation inside the minimal eigenspace: the same global mu.
+    for b in ([0.3, 0.4, 1.0, 0.0], [0.5, 0.0, 1.0, 0.0]):
+        rep = enumerate_affine_eigenvalues(diag_problem(d, b))
+        assert rep.case == "easy"
+        assert len(rep.min_eigvecs) == 2
+        mus.append(rep.global_.mu)
+    assert mus[1] == pytest.approx(mus[0], abs=1e-12)
+    assert mus[0] == pytest.approx(0.4562197097377715, abs=1e-12)
+
+    rep = enumerate_affine_eigenvalues(diag_problem(d, [0.0, 0.0, 1.0, 0.5]))
+    assert rep.case == "hard"
+    assert rep.global_.mu == 1.0
+    assert len(rep.min_eigvecs) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import spheretrs.solvers as solvers_mod
 import spheretrs.trs as trs_mod
@@ -247,3 +248,18 @@ def test_answers_do_not_depend_on_rng_seed(gap):
         ]
     for x0, x55 in zip(xs[0], xs[55]):
         assert x0.tobytes() == x55.tobytes()
+
+
+def test_cg_failure_falls_back_to_the_lift(monkeypatch):
+    def no_convergence(op, rhs, **kwargs):
+        return np.zeros_like(rhs), 1
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", no_convergence)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6))
+    boundary = BtrsProblem(a=DenseOp(g @ g.T / 6 + 0.5 * np.eye(6)), b=3.0 * rng.standard_normal(6))
+    for p in (diag_problem([2.0, 2.0], [0.5, 0.0]), boundary):
+        res = solve_trs(p, "decide")
+        assert res.route == "augmented" and res.boundary.converged
+        _, q_true = trs_optimum(p)
+        assert res.q == pytest.approx(q_true, rel=1e-9, abs=1e-9)
