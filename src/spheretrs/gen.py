@@ -83,8 +83,7 @@ def generate(spec: GenSpec) -> Tuple[BtrsProblem, AffineEigenpair]:
         raise ValueError(f"gap {spec.gap:g} is lost to rounding at lambda_min = {lam[0]:g}")
 
     q = _haar_orthogonal(spec.n, rng)
-    a_dense = (q * lam) @ q.T
-    a = DenseOp(0.5 * (a_dense + a_dense.T))
+    a = DenseOp((q * lam) @ q.T)  # DenseOp symmetrizes
 
     if spec.gap > 0:
         # ||b|| = ||(A - mu_star I) x_star|| >= gap > 0.

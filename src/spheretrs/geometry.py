@@ -50,15 +50,14 @@ class _EuclideanLocal(LocalMetric):
 
 
 class _SeededLocal(LocalMetric):
-    # M_x^{-1} x and x'M_x^{-1}x are computed on first use, so a caller
-    # that only needs mapply (the metric inner product) makes no shifted solve.
     __slots__ = ("seed", "shift", "_minv_x", "_x_minv_x")
 
     def __init__(self, x, seed: Preconditioner, shift: float):
         super().__init__(x)
         self.seed = seed
         self.shift = shift
-        self._minv_x = None
+        self._minv_x = self.minv(x)
+        self._x_minv_x = float(x @ self._minv_x)
 
     def mapply(self, v):
         return self.seed.apply(v) + self.shift * v
@@ -67,9 +66,6 @@ class _SeededLocal(LocalMetric):
         return self.seed.solve(self.shift, v)
 
     def project(self, v):
-        if self._minv_x is None:
-            self._minv_x = self.minv(self.x)
-            self._x_minv_x = float(self.x @ self._minv_x)
         return v - (float(self.x @ v) / self._x_minv_x) * self._minv_x
 
 

@@ -136,7 +136,7 @@ class DiagonalOp(SymOp):
     def __init__(self, diag):
         diag = np.asarray(diag, dtype=float)
         if diag.ndim != 1:
-            raise ValueError("diagonal must be a vector")
+            raise ValueError(f"diag must be a vector, got shape {diag.shape}")
         require_finite("diag", diag)
         super().__init__(diag.shape[0])
         self.diag = diag
@@ -184,6 +184,8 @@ class CallbackOp(SymOp):
     def _matvec(self, v):
         out = np.asarray(self._fn(v), dtype=float)
         if out.shape != (self.dim,):
-            raise DimensionMismatchError("callback returned wrong shape")
+            raise DimensionMismatchError(
+                f"callback output must have shape {(self.dim,)}, got {out.shape}"
+            )
         return out
 

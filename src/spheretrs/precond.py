@@ -88,11 +88,11 @@ class PhiFilter:
 
 
 def make_phi(pre: Preconditioner, p: BtrsProblem) -> PhiFilter:
-    """Default filter for a seed: floor just above -lambda_min(M)."""
+    """Default filter for a seed: floor just above -lambda_min(M), and
+    smoothing 1e-3 * max(1, ||b||).  Makes no operator application."""
     lam = pre.lambda_min_m
     floor = -lam + 1e-6 * max(1.0, abs(lam))
-    smoothing = 1e-3 * max(1.0, p.b_norm + p.a.norm_estimate())
-    return PhiFilter(floor=floor, smoothing=float(smoothing))
+    return PhiFilter(floor=floor, smoothing=1e-3 * max(1.0, p.b_norm))
 
 
 def build_eig_seed(
@@ -103,12 +103,12 @@ def build_eig_seed(
 ) -> EigSeedPrecond:
     """Rank-``rank`` symmetric sketch of A as a seed preconditioner.
 
-    Draws a Gaussian test matrix, runs a few rounds of subspace iteration
-    (A may be indefinite, so the sketch targets extreme eigenvalues of
-    either sign), projects A onto the captured subspace and truncates its
-    eigendecomposition to the ``rank`` largest-magnitude eigenpairs.  The
-    complement eigenvalue is 0 so that off the captured subspace the metric
-    reduces to the phi(-mu_x) shift alone.  Deterministic given ``seed``.
+    One sketch product: draws a Gaussian test matrix Omega, orthonormalizes
+    A Omega, projects A onto that range (Rayleigh-Ritz) and keeps the
+    ``rank`` largest-magnitude eigenpairs, so A may be indefinite.  Costs
+    at most 2 * (rank + oversample) operator applications.  The complement
+    eigenvalue is 0 so that off the captured subspace the metric reduces to
+    the phi(-mu_x) shift alone.  Deterministic given ``seed``.
     Raises ``ValueError`` naming the field when ``rank`` is not an integer
     >= 1, or ``oversample`` or ``seed`` not an integer >= 0.
     """
@@ -121,11 +121,7 @@ def build_eig_seed(
     rng = np.random.default_rng(seed)
 
     omega = rng.standard_normal((n, rank + oversample))
-    y = a.apply_block(omega)
-    for _ in range(2):  # subspace iteration
-        q, _ = np.linalg.qr(y)
-        y = a.apply_block(q)
-    q = _orthonormalize(y, None)
+    q = _orthonormalize(a.apply_block(omega), None)
     if q.shape[1] < rank:
         # A redraw cannot help: the deficiency comes from A's spectrum.
         raise ValueError("sketch is rank deficient; matrix rank below request")
@@ -133,7 +129,5 @@ def build_eig_seed(
     h = q.T @ a.apply_block(q)
     w, s = np.linalg.eigh(0.5 * (h + h.T))
     order = np.argsort(-np.abs(w))[:rank]
-    u = q @ s[:, order]
-    # Re-orthonormalize to wash out roundoff from the two-stage product.
-    u, _ = np.linalg.qr(u)
-    return EigSeedPrecond(u, w[order])
+    # Q and S are orthonormal, so U = Q S is too, to roundoff.
+    return EigSeedPrecond(q @ s[:, order], w[order])

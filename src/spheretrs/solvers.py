@@ -263,7 +263,6 @@ def _descent_loop(
     s = fresh(x / np.linalg.norm(x))
     d = -s.g
     dg = -s.gg  # g(d, grad)
-    since_reset = 0
     stale = 0  # accepted steps since s.ax was last a fresh product
     status = STATUS_MAX_ITER
     reason = ""
@@ -276,7 +275,7 @@ def _descent_loop(
             s, stale = fresh(s.x), 0
             done = s.gg <= tol_gg and s.rn <= eff_tol_res
             if not done:
-                d, dg, since_reset = -s.g, -s.gg, 0
+                d, dg = -s.g, -s.gg
         if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
             break
@@ -300,7 +299,6 @@ def _descent_loop(
         s = PointState(m, p, y, ay, qy) if stale else fresh(y)
 
         if use_cg:
-            since_reset += 1
             # Transport the previous gradient and direction by projection.
             tg = s.lm.project(old.g)
             td = s.lm.project(d)
@@ -310,8 +308,8 @@ def _descent_loop(
             beta = max(0.0, beta)
             d = -s.g + beta * td
             dg = float(d @ s.mg)
-        if not use_cg or dg >= 0.0 or since_reset >= p.dim:
-            d, dg, since_reset = -s.g, -s.gg, 0
+        if not use_cg or dg >= 0.0:
+            d, dg = -s.g, -s.gg
 
     if stale and reason != "non-finite":
         s = fresh(s.x)

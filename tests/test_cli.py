@@ -123,6 +123,22 @@ def test_bench_command(tmp_path, capsys):
     assert len(summary) == 2
 
 
+def test_bench_reports_a_failed_run(tmp_path, capsys):
+    # GenSpec accepts gap 1e-20, but generate finds it lost to rounding.
+    out_dir = tmp_path / "b"
+    rc = main([
+        "bench", "--n", "20", "--gaps", "1,1e-20", "--seeds", "1",
+        "--solvers", "rgd", "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("run failed:") == 1
+    assert "run failed: gap 1e-20 is lost to rounding at lambda_min = -5" in err
+    (row,) = json.loads((out_dir / "runs.json").read_text())
+    assert row["gap"] == 1.0
+    summary = (out_dir / "summary.csv").read_text().strip().splitlines()
+    assert len(summary) == 2 and summary[1].startswith("rgd,1.0,")
+
 
 def test_bench_sketched_solver(tmp_path, capsys):
     out_dir = tmp_path / "b"

@@ -10,8 +10,11 @@ from spheretrs import (
     EigLowRankOp,
     EigSeedPrecond,
     GenSpec,
+    ProblemFormatError,
     SymOp,
     generate,
+    load_problem,
+    problem_from_dict,
 )
 from spheretrs.trs import AugmentedOp
 
@@ -183,3 +186,47 @@ def test_apply_block_charges_one_apply_per_column():
         a.apply_block(np.ones(7))
     with pytest.raises(DimensionMismatchError):
         a.apply_block(np.ones((6, 2)))
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    return load_problem(path)
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (
+            lambda _: BtrsProblem(a=DiagonalOp(np.ones(3)), b=np.ones(2)),
+            ValueError,
+            "^b length",
+        ),
+        (lambda _: DenseOp(np.ones((2, 3))), ValueError, "square matrix"),
+        (
+            lambda _: DiagonalOp(np.ones((2, 2))),
+            ValueError,
+            r"^diag must be a vector, got shape \(2, 2\)",
+        ),
+        (
+            lambda _: EigLowRankOp(np.eye(3)[:, :2], np.ones(3)),
+            ValueError,
+            "^factor U must be n-by-r",
+        ),
+        (
+            lambda _: CallbackOp(lambda v: np.ones(2), 3).apply(np.ones(3)),
+            DimensionMismatchError,
+            r"^callback output must have shape \(3,\), got \(2,\)",
+        ),
+        (
+            lambda _: problem_from_dict({"n": 2, "A": 3, "b": [0, 0]}),
+            ProblemFormatError,
+            "^field 'A'",
+        ),
+        (lambda _: problem_from_dict([1, 2]), ProblemFormatError, "JSON object"),
+        (lambda tmp: _load_text(tmp, "{"), ProblemFormatError, "^invalid JSON"),
+    ],
+)
+def test_entry_checks_name_their_field(tmp_path, make, error, match):
+    with pytest.raises(error, match=match):
+        make(tmp_path)

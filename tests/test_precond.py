@@ -213,5 +213,28 @@ def test_build_eig_seed_rank_deficient_raises_after_one_sketch():
 
     with pytest.raises(ValueError, match="rank deficient"):
         build_eig_seed(CallbackOp(fn, 30), rank=5, oversample=5)
-    # The Gaussian draw and two rounds of subspace iteration, 10 columns each.
-    assert calls[0] == 3 * 10
+    # One sketch product A Omega on 10 columns; the check comes before the
+    # Rayleigh-Ritz product.
+    assert calls[0] == 10
+
+
+def test_build_eig_seed_and_make_phi_application_counts():
+    # The seed costs A Omega and A Q, rank + oversample columns each; the
+    # filter applies A not at all.
+    p0, _ = generate(GenSpec(n=40, gap=0.1, seed=2))
+    calls = [0]
+    dense = p0.a.to_dense()
+
+    def fn(v):
+        calls[0] += 1
+        return dense @ v
+
+    p = BtrsProblem(a=CallbackOp(fn, 40), b=p0.b)
+    pre = build_eig_seed(p.a, rank=6, oversample=4)
+    assert calls[0] == 2 * (6 + 4)
+    u = pre.u
+    assert np.linalg.norm(u.T @ u - np.eye(6)) <= 1e-12
+    calls[0] = 0
+    f = make_phi(pre, p)
+    assert calls[0] == 0
+    assert f.smoothing == 1e-3 * max(1.0, p.b_norm)

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,7 +273,7 @@ def _counted_run(kind, cfg, gap=1.0):
     m, pre = StandardMetric(), None
     if kind == "seeded_rcg":
         pre = CountingSeed(build_eig_seed(p.a, rank=5, seed=0))
-        m = SeededMetric(pre, make_phi(pre, p))  # the norm estimate applies A
+        m = SeededMetric(pre, make_phi(pre, p))  # the sketch applies A
     p.a.applies = 0
     res = naive_rgd(p, x0, cfg) if kind == "naive_rgd" else rcg(m, p, x0, cfg)
     return p, m, res, p.a.applies, pre
@@ -310,6 +312,71 @@ def test_one_apply_per_step_and_fresh_results(kind):
         steps = len(res.trace.iters) - 1
         assert applies <= steps + math.ceil(steps / K) + 2
         _assert_fresh(p, m, res)
+
+
+def _lines_run(fn, *args):
+    """The line numbers of ``_descent_loop`` that ``fn(*args)`` executes."""
+    code = solvers_mod._descent_loop.__code__
+    hits = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return out, hits
+
+
+def test_failed_fresh_verdict_restarts_from_steepest_descent():
+    # Every odd application adds 1e-6 (e_0'v) e_0, so the recurrence and the
+    # fresh product disagree: a stopping test passed on the recurrence fails
+    # on the fresh A x, and the loop restarts from -grad.
+    p0, _ = generate(GenSpec(n=30, gap=1.0, seed=3))
+    a = p0.a.to_dense()
+    u = np.eye(30)[0]
+    calls = [0]
+
+    def perturbed(v, k):
+        return a @ v + 1e-6 * (k % 2) * (u @ v) * u
+
+    def fn(v):
+        calls[0] += 1
+        return perturbed(v, calls[0])
+
+    p = BtrsProblem(a=CallbackOp(fn, 30), b=p0.b)
+    res, hits = _lines_run(rcg, StandardMetric(), p, -p.b / p.b_norm)
+    lines, first = inspect.getsourcelines(solvers_mod._descent_loop)
+    (reset,) = [first + i + 1 for i, line in enumerate(lines) if line.strip() == "if not done:"]
+    assert reset in hits
+    assert res.converged
+    # The result rests on the operator's last product.
+    k = calls[0]
+    last = BtrsProblem(a=CallbackOp(lambda v: perturbed(v, k), 30), b=p.b)
+    _assert_fresh(last, StandardMetric(), res)
+
+
+def test_non_finite_final_refresh_fails_the_run():
+    # A max_iter run ends on a recurrence state; the operator's NaN arrives
+    # on exactly the post-loop refresh: the start, 10 line searches, then it.
+    p0, _ = generate(GenSpec(n=30, gap=1.0, seed=3))
+    a = p0.a.to_dense()
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return np.full(30, np.nan) if calls[0] == 12 else a @ v
+
+    p = BtrsProblem(a=CallbackOp(fn, 30), b=p0.b)
+    res = rcg(StandardMetric(), p, -p.b / p.b_norm, SolverConfig(max_iter=10))
+    assert calls[0] == 12
+    assert (res.status, res.reason) == ("failed", "non-finite")
+    assert len(res.trace.iters) == 10 and math.isnan(res.mu)
 
 
 def test_b_zero_run_estimates_the_norm_once():
