@@ -72,11 +72,6 @@ class _SeededLocal(LocalMetric):
 class MetricScheme:
     """Map x -> M_x defining the Riemannian metric in ambient coordinates."""
 
-    #: Whether the descent loop opens each line search with the capped step
-    #: 1/||b||, which keeps the iterates of an S_E start inside S_E; a
-    #: scheme without it opens with the model minimizer along the path.
-    capped_step = False
-
     def at(self, p: BtrsProblem, x: np.ndarray, mu: float | None = None) -> LocalMetric:
         """M_x at the unit vector x; ``mu`` is mu_x when the caller has it."""
         raise NotImplementedError
@@ -84,8 +79,6 @@ class MetricScheme:
 
 class StandardMetric(MetricScheme):
     """M_x = I; the sphere as a Riemannian submanifold of Euclidean space."""
-
-    capped_step = True
 
     def at(self, p, x, mu=None):
         return _EuclideanLocal(x)

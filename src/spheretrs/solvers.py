@@ -3,10 +3,13 @@ double-start strategy, and the restart scheme driven by the reflection
 across a minimal eigenvector.
 
 All solvers share one descent loop with Armijo backtracking.  Under the
-standard metric the initial trial step is 1/||b||: steps below that bound
-keep iterates inside the set S_E = {x : (v'b)(v'x) <= 0 for all
-minimal eigenvectors v}, which is what makes the -b/||b|| start reach the
-global optimum in the easy case.
+standard metric, ``rgd``/``rcg`` (so ``naive_rgd`` and ``double_start``)
+open each line search at 1/||b||: steps below that bound keep iterates
+inside the set S_E = {x : (v'b)(v'x) <= 0 for all minimal eigenvectors v},
+which is what makes the -b/||b|| start reach the global optimum in the easy
+case.  ``lpr_solve`` (so ``solve_trs``) is global by its reflection
+restart, which has no step-size condition, so like every ``SeededMetric``
+solve it opens at the minimizer of the quadratic model along the path.
 
 Cost model: the descent loop applies A in two places.  The line search's
 ``A d`` is one application per descent step (``A x`` at the accepted point
@@ -178,8 +181,10 @@ def _armijo(p, s, d, decrease, cfg, t_cap, exact_init=False):
     decrease is far below the rounding level of q itself.
 
     With ``exact_init`` the first trial is the minimizer of the
-    second-order model along the path, t = -d'(Ax+b) / d'(A - mu_x I)d;
-    otherwise it is ``t_cap``, the capped step of :func:`_initial_step`.
+    second-order model along the path, t = -d'(Ax+b) / d'(A - mu_x I)d,
+    and ``t_cap`` only stands in when that model has no positive curvature;
+    otherwise the first trial is ``t_cap``, the step of :func:`_initial_step`
+    that keeps an S_E start inside S_E.
     """
     c = cfg.armijo_c
     tau = cfg.armijo_tau
@@ -221,9 +226,12 @@ def _descent_loop(
     cfg: SolverConfig,
     use_cg: bool,
     res_cap: Optional[float] = None,
+    capped: bool = False,
 ) -> SolveResult:
     """Shared RGD/RCG loop with Armijo backtracking and a combined
-    gradient-norm / stationarity-residual stopping rule.
+    gradient-norm / stationarity-residual stopping rule.  Line searches open
+    at the capped step 1/||b|| when ``capped``, otherwise at the model
+    minimizer (see :func:`_armijo`).
 
     The current point is one :class:`PointState`.  Its ``A x`` is carried
     by the recurrence of :func:`_armijo` and replaced by a fresh product every
@@ -285,7 +293,7 @@ def _descent_loop(
             break
 
         try:
-            t, y, ay, qy = _armijo(p, s, d, -dg, cfg, t_cap, exact_init=not m.capped_step)
+            t, y, ay, qy = _armijo(p, s, d, -dg, cfg, t_cap, exact_init=not capped)
         except _NonFinite:
             status, reason = STATUS_FAILED, "non-finite"
             break
@@ -329,15 +337,17 @@ def _descent_loop(
 def rcg(
     m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
-    """Riemannian conjugate gradient (Polak-Ribiere+, projection transport)."""
-    return _descent_loop(m, p, x0, cfg, use_cg=True)
+    """Riemannian conjugate gradient (Polak-Ribiere+, projection transport).
+    Under :class:`StandardMetric` each line search opens at 1/||b||."""
+    return _descent_loop(m, p, x0, cfg, use_cg=True, capped=isinstance(m, StandardMetric))
 
 
 def rgd(
     m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
-    """Riemannian gradient descent under an arbitrary metric scheme."""
-    return _descent_loop(m, p, x0, cfg, use_cg=False)
+    """Riemannian gradient descent under an arbitrary metric scheme.
+    Under :class:`StandardMetric` each line search opens at 1/||b||."""
+    return _descent_loop(m, p, x0, cfg, use_cg=False, capped=isinstance(m, StandardMetric))
 
 
 def naive_rgd(
@@ -439,7 +449,8 @@ def lpr_solve(
     its stationarity test tightened to ||r|| <= |u'b|/2, and any return
     with mu >= lambda_min(A) is reflected across u and restarted.  In the
     hard case the first run is returned, with the default stationarity test:
-    no non-global stationary point has u'x != 0.
+    no non-global stationary point has u'x != 0.  The restart, not S_E,
+    makes it global, so its line searches open at the model minimizer.
     """
     if inner not in ("rgd", "rcg"):
         raise ValueError("inner solver must be 'rgd' or 'rcg'")

@@ -89,6 +89,15 @@ class TrsResult:
         return None if self.boundary is None else self.boundary.case.kind
 
 
+class _LeftBall(Exception):
+    """A CG iterate for A y = -b reached the boundary of the ball."""
+
+
+def _stop_outside_ball(y: np.ndarray):
+    if np.linalg.norm(y) >= 1.0 - 1e-12:
+        raise _LeftBall
+
+
 def solve_trs(
     p: BtrsProblem,
     strategy: str = "decide",
@@ -100,11 +109,14 @@ def solve_trs(
     The route is chosen once.  strategy "decide" tries the unconstrained
     minimizer -A^{-1}b by conjugate gradients when A is positive definite
     ("interior" if it lies inside the ball), otherwise solves the boundary
-    problem directly ("direct").  strategy "always_augment", or a CG solve
-    that fails to converge, solves the lifted problem in dimension n+1
-    ("augmented"), which needs no linear solve; the first coordinate of its
-    solution is slack.  Each boundary route is one ``lpr_solve`` call, and
-    ``q`` is that solve's: the lift's objective equals q(x) exactly.
+    problem directly ("direct").  CG iterates from y_0 = 0 grow in norm for
+    positive definite A (Steihaug 1983), so the first iterate that leaves
+    the ball ends that solve and settles the route as "direct".  strategy
+    "always_augment", or a CG solve that fails to converge, solves the
+    lifted problem in dimension n+1 ("augmented"), which needs no linear
+    solve; the first coordinate of its solution is slack.  Each boundary
+    route is one ``lpr_solve`` call, and ``q`` is that solve's: the lift's
+    objective equals q(x) exactly.
     """
     if strategy not in ("decide", "always_augment"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -117,11 +129,17 @@ def solve_trs(
         n = p.dim
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=p.a.apply)
         tol = min(cfg.tol_res, 1e-10)
-        y, info = scipy.sparse.linalg.cg(op, -p.b, rtol=tol, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            route = "augmented"
-        elif np.linalg.norm(y) < 1.0 - 1e-12:
-            return TrsResult(x=y, q=objective(p, y), route="interior")
+        try:
+            y, info = scipy.sparse.linalg.cg(
+                op, -p.b, rtol=tol, atol=0.0, maxiter=20 * n, callback=_stop_outside_ball
+            )
+        except _LeftBall:
+            pass
+        else:
+            if info != 0:
+                route = "augmented"
+            elif np.linalg.norm(y) < 1.0 - 1e-12:
+                return TrsResult(x=y, q=objective(p, y), route="interior")
 
     lifted = route == "augmented"
     res = lpr_solve(

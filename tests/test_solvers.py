@@ -481,3 +481,51 @@ def test_rejects_a_zero_or_non_finite_start(fill, solver):
             rcg(StandardMetric(), p, x0)
         else:
             lpr_solve(p, x0=x0)
+
+
+def test_lpr_solve_opens_at_the_model_minimizer():
+    # Opened at 1/||b||, this solve takes about 4,000 rows; the restart, not
+    # a capped step, is what makes lpr_solve global.
+    p, planted = generate(GenSpec(n=500, gap=1e-2, seed=1))
+    q_star = objective(p, planted.x)
+    res = lpr_solve(p)
+    assert res.converged
+    assert len(res.trace.iters) <= 1000
+    assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
+
+
+def _capped_steps(p, res):
+    """Whether every positive step of ``res`` is (1/||b||) 0.5^k, k >= 0."""
+    t_cap = 1.0 / p.b_norm
+    for t in res.trace.step:
+        k = round(math.log2(t_cap / t)) if t > 0 else 0
+        if t > 0 and (k < 0 or t != t_cap * 0.5**k):
+            return False
+    return True
+
+
+def test_paper_solvers_keep_the_capped_step():
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    x0 = -p.b / p.b_norm
+    cfg = SolverConfig(max_iter=300)
+    for res in (naive_rgd(p, x0, cfg), double_start(p, cfg), rcg(StandardMetric(), p, x0, cfg)):
+        assert max(res.trace.step) > 0
+        assert _capped_steps(p, res)
+    assert not _capped_steps(p, lpr_solve(p, cfg=cfg))
+
+
+def test_seeded_lpr_solve_runs_the_public_rcg():
+    # Hard case: one run with the default stationarity test, so lpr_solve's
+    # trace is the public seeded rcg's from the same start.
+    p, _ = generate(GenSpec(n=100, gap=0.0, seed=1))
+    eig = min_eigpair(p.a)
+    case = classify(p, eig)
+    assert case.kind == "hard"
+    pre = build_eig_seed(p.a, rank=10, seed=0)
+    m = SeededMetric(pre, make_phi(pre, p))
+    res = lpr_solve(p, m, eig=eig)
+    x0 = (-1.0 if float(case.u @ p.b) > 0 else 1.0) * case.u - p.b
+    ref = rcg(m, p, x0)
+    assert res.converged
+    assert res.trace.step == ref.trace.step and res.trace.q == ref.trace.q
+    assert res.x.tobytes() == ref.x.tobytes()

@@ -263,3 +263,31 @@ def test_cg_failure_falls_back_to_the_lift(monkeypatch):
         assert res.route == "augmented" and res.boundary.converged
         _, q_true = trs_optimum(p)
         assert res.q == pytest.approx(q_true, rel=1e-9, abs=1e-9)
+
+
+def test_interior_test_stops_once_cg_leaves_the_ball():
+    # Positive definite, with -A^{-1}b outside the ball: CG's second iterate
+    # already has norm >= 1, so the route is settled there.
+    p0, _ = generate(GenSpec(n=40, gap=2.0, seed=1, noise_frac=0.0, signal_range=(1.0, 10.0)))
+    eig = min_eigpair(p0.a, tol=1e-10)
+    assert eig.lambda_min > 0
+    p = _counting(p0)
+    norms = []
+    op = scipy.sparse.linalg.LinearOperator((40, 40), matvec=p.a.apply)
+    y, info = scipy.sparse.linalg.cg(
+        op, -p.b, rtol=1e-10, atol=0.0, callback=lambda yk: norms.append(np.linalg.norm(yk))
+    )
+    assert info == 0 and np.linalg.norm(y) > 1.0
+    full_cg = p.a.calls[0]
+    leaves = next(k for k, nk in enumerate(norms, 1) if nk >= 1.0 - 1e-12)
+    assert leaves == 2 < len(norms)
+
+    p = _counting(p0)
+    direct = lpr_solve(p, eig=eig)
+    lpr_calls = p.a.calls[0]
+    p = _counting(p0)
+    res = solve_trs(p, "decide", eig=eig)
+    assert res.route == "direct"
+    assert res.x.tobytes() == direct.x.tobytes()
+    # The interior test applies A only up to the iterate that left the ball.
+    assert p.a.calls[0] - lpr_calls == full_cg - (len(norms) - leaves)
