@@ -44,7 +44,8 @@ class SymOp:
     """Abstract symmetric linear operator on R^n.
 
     Immutable after construction; ``apply`` allocates its output and keeps
-    no hidden state, so instances are safe to share across threads.
+    no hidden state, so instances are safe to share across threads.  No
+    norm estimate: nothing in the package probes for ||A||.
     """
 
     dim: int
@@ -72,25 +73,6 @@ class SymOp:
         for j in range(v.shape[1]):
             out[:, j] = self.apply(v[:, j])
         return out
-
-    def norm_estimate(self, n_iter: int = 20) -> float:
-        """Spectral-norm estimate by ``n_iter`` power steps from a fixed start.
-
-        Callback operators carry no norm information, so this is the one
-        place the package ever probes for ||A||.  Nothing is cached: each
-        call costs up to ``n_iter`` operator applications.
-        """
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(n_iter):
-            w = self._matvec(v)
-            est = float(np.linalg.norm(w))
-            if est == 0.0:
-                break
-            v = w / est
-        return est
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator as a dense symmetric array.

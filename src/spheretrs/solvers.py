@@ -7,9 +7,11 @@ standard metric, ``rgd``/``rcg`` (so ``naive_rgd`` and ``double_start``)
 open each line search at 1/||b||: steps below that bound keep iterates
 inside the set S_E = {x : (v'b)(v'x) <= 0 for all minimal eigenvectors v},
 which is what makes the -b/||b|| start reach the global optimum in the easy
-case.  ``lpr_solve`` (so ``solve_trs``) is global by its reflection
-restart, which has no step-size condition, so like every ``SeededMetric``
-solve it opens at the minimizer of the quadratic model along the path.
+case.  Every other line search opens at the minimizer of the quadratic
+model along the path: with b = 0, S_E is the whole sphere; ``lpr_solve``
+(so ``solve_trs``) is global by its reflection restart, which has no
+step-size condition; and no ``SeededMetric`` solve is capped.  ``_armijo``
+alone decides each first trial.
 
 Cost model: the descent loop applies A in two places.  The line search's
 ``A d`` is one application per descent step (``A x`` at the accepted point
@@ -31,7 +33,7 @@ import numpy as np
 
 from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
-from .geometry import MetricScheme, PointState, StandardMetric
+from .geometry import MetricScheme, PointState, StandardMetric, hess_apply_stationary
 from .linop import CallbackOp, DenseOp, require_int
 from .oracle import global_solve
 
@@ -155,18 +157,11 @@ def haar_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _initial_step(p: BtrsProblem) -> float:
-    if p.b_norm > 0:
-        return 1.0 / p.b_norm
-    # b = 0 makes the cap vacuous; scale by the curvature instead.
-    return 2.0 / max(1e-16, p.a.norm_estimate())
-
-
 class _NonFinite(ValueError):
     """The operator returned a NaN or an infinity inside a line search."""
 
 
-def _armijo(p, s, d, decrease, cfg, t_cap, exact_init=False):
+def _armijo(p, s, d, decrease, cfg, capped):
     """Backtracking line search from the :class:`PointState` ``s`` along
     y(t) = (x + t d)/||x + t d||; accept when q(x) - q(y) >= t * c * decrease.
     Returns (t, y, ay, qy) or (None,)*4 when no acceptable step exists above
@@ -180,11 +175,10 @@ def _armijo(p, s, d, decrease, cfg, t_cap, exact_init=False):
     expansion in t, which stays fully accurate even when the per-step
     decrease is far below the rounding level of q itself.
 
-    With ``exact_init`` the first trial is the minimizer of the
-    second-order model along the path, t = -d'(Ax+b) / d'(A - mu_x I)d,
-    and ``t_cap`` only stands in when that model has no positive curvature;
-    otherwise the first trial is ``t_cap``, the step of :func:`_initial_step`
-    that keeps an S_E start inside S_E.
+    The first trial is decided here alone.  A ``capped`` search with b != 0
+    opens at 1/||b||, which keeps an S_E start inside S_E; any other at the
+    model minimizer t = -d'(Ax+b) / d'(A - mu_x I)d, or, when the model has
+    no positive curvature, at 1/||b|| (b = 0: the scale-free 1/||d||).
     """
     c = cfg.armijo_c
     tau = cfg.armijo_tau
@@ -198,8 +192,8 @@ def _armijo(p, s, d, decrease, cfg, t_cap, exact_init=False):
         raise _NonFinite("operator output is non-finite (NaN or infinity)")
     xd = float(x @ d)
     dd = float(d @ d)
-    t = t_cap
-    if exact_init:
+    t = 1.0 / (p.b_norm or math.sqrt(dd) or 1.0)  # 1/||b||, 1/||d|| or 1
+    if not (capped and p.b_norm > 0):
         curv = dad - dd * s.mu
         if de < 0.0 and curv > 0.0:
             t = -de / curv
@@ -229,9 +223,8 @@ def _descent_loop(
     capped: bool = False,
 ) -> SolveResult:
     """Shared RGD/RCG loop with Armijo backtracking and a combined
-    gradient-norm / stationarity-residual stopping rule.  Line searches open
-    at the capped step 1/||b|| when ``capped``, otherwise at the model
-    minimizer (see :func:`_armijo`).
+    gradient-norm / stationarity-residual stopping rule.  :func:`_armijo`
+    decides where each line search opens, from ``capped`` and b.
 
     The current point is one :class:`PointState`.  Its ``A x`` is carried
     by the recurrence of :func:`_armijo` and replaced by a fresh product every
@@ -247,7 +240,6 @@ def _descent_loop(
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
     tol_gg = cfg.tol_grad**2
-    t_cap = _initial_step(p)
 
     trace = SolveTrace()
     t_start = time.perf_counter()
@@ -266,6 +258,8 @@ def _descent_loop(
         )
 
     x = np.asarray(x0, dtype=float)
+    if x.shape != (p.dim,):
+        raise ValueError(f"x0 must be a vector of length {p.dim}, got shape {x.shape}")
     if not (np.isfinite(x).all() and np.linalg.norm(x) > 0):
         raise ValueError("x0 must be finite and nonzero")
     s = fresh(x / np.linalg.norm(x))
@@ -293,7 +287,7 @@ def _descent_loop(
             break
 
         try:
-            t, y, ay, qy = _armijo(p, s, d, -dg, cfg, t_cap, exact_init=not capped)
+            t, y, ay, qy = _armijo(p, s, d, -dg, cfg, capped)
         except _NonFinite:
             status, reason = STATUS_FAILED, "non-finite"
             break
@@ -338,7 +332,7 @@ def rcg(
     m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
     """Riemannian conjugate gradient (Polak-Ribiere+, projection transport).
-    Under :class:`StandardMetric` each line search opens at 1/||b||."""
+    Under :class:`StandardMetric` with b != 0 line searches open at 1/||b||."""
     return _descent_loop(m, p, x0, cfg, use_cg=True, capped=isinstance(m, StandardMetric))
 
 
@@ -346,7 +340,7 @@ def rgd(
     m: MetricScheme, p: BtrsProblem, x0: np.ndarray, cfg: SolverConfig = SolverConfig()
 ) -> SolveResult:
     """Riemannian gradient descent under an arbitrary metric scheme.
-    Under :class:`StandardMetric` each line search opens at 1/||b||."""
+    Under :class:`StandardMetric` with b != 0 line searches open at 1/||b||."""
     return _descent_loop(m, p, x0, cfg, use_cg=False, capped=isinstance(m, StandardMetric))
 
 
@@ -371,9 +365,7 @@ def _escape_start(p: BtrsProblem, x: np.ndarray, mu: float, seed: int):
     """
 
     def hess(v):
-        v = v - x * float(x @ v)
-        hv = p.a.apply(v) - mu * v
-        return hv - x * float(x @ hv)
+        return hess_apply_stationary(StandardMetric(), p, x, mu, v - x * float(x @ v))
 
     eig = min_eigpair(CallbackOp(hess, p.dim), tol=ESCAPE_EIG_TOL, seed=seed)
     if not eig.lambda_min < -eig.cluster_tol:

@@ -9,10 +9,8 @@ from spheretrs import (
     DimensionMismatchError,
     EigLowRankOp,
     EigSeedPrecond,
-    GenSpec,
     ProblemFormatError,
     SymOp,
-    generate,
     load_problem,
     problem_from_dict,
 )
@@ -100,20 +98,6 @@ def test_dimension_mismatch():
     a = DiagonalOp(np.array([1.0, 2.0]))
     with pytest.raises(DimensionMismatchError):
         a.apply(np.ones(3))
-
-
-def test_norm_estimate_close_to_spectral_norm():
-    d = np.array([1.0, -7.0, 3.0, 0.1])
-    a = DiagonalOp(d)
-    est = a.norm_estimate(n_iter=200)
-    assert est == pytest.approx(7.0, rel=1e-6)
-
-
-def test_norm_estimate_honours_its_arguments():
-    a = generate(GenSpec(n=20, gap=1e-2, seed=1))[0].a
-    norm = np.abs(np.linalg.eigvalsh(a.to_dense())).max()
-    assert a.norm_estimate() != pytest.approx(norm, rel=1e-9)
-    assert a.norm_estimate(n_iter=200) == pytest.approx(norm, rel=1e-12)
 
 
 @pytest.mark.parametrize(

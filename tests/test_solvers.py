@@ -379,14 +379,26 @@ def test_non_finite_final_refresh_fails_the_run():
     assert len(res.trace.iters) == 10 and math.isnan(res.mu)
 
 
-def test_b_zero_run_estimates_the_norm_once():
+def test_b_zero_lpr_solve_applies_a_only_to_classify_and_start():
+    p0, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    eig = min_eigpair(p0.a)
+    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=np.zeros(60))
+    res = lpr_solve(p, eig=eig)
+    assert res.converged
+    # classify checks each basis vector; the start u is then one fresh A x.
+    assert p.a.applies == len(eig.basis) + 1
+    assert res.mu == pytest.approx(eig.lambda_min, abs=1e-10)
+
+
+def test_b_zero_naive_rgd_makes_no_norm_probe():
     p0, _ = generate(GenSpec(n=30, gap=1.0, seed=3))
-    p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=np.zeros(30))
+    dense = p0.a.to_dense()
+    p = BtrsProblem(a=CountingOp(dense), b=np.zeros(30))
     res = naive_rgd(p, haar_unit(30, np.random.default_rng(0)), SolverConfig(max_iter=200))
     steps = len(res.trace.iters) - 1
     assert steps > 5
-    # b = 0: the first trial step scales by ||A||, a 20-apply power iteration.
-    assert p.a.applies <= steps + math.ceil(steps / K) + 2 + 20
+    assert p.a.applies <= steps + math.ceil(steps / K) + 2
+    assert res.mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
 
 
 def test_seeded_rcg_two_shifted_solves_per_step():
@@ -471,11 +483,14 @@ def test_converged_double_start_makes_no_extra_apply():
     assert applies == p.a.applies
 
 
-@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "x0",
+    [np.zeros(3), np.full(3, np.nan), np.full(3, np.inf), np.ones(4), np.ones((3, 1))],
+    ids=["0.0", "nan", "inf", "long", "column"],
+)
 @pytest.mark.parametrize("solver", ["rcg", "lpr_solve"])
-def test_rejects_a_zero_or_non_finite_start(fill, solver):
+def test_rejects_a_zero_or_non_finite_start(x0, solver):
     p = diag_problem([-1.0, 2.0, 3.0], [0.5, 1.0, 0.2])
-    x0 = np.full(3, fill)
     with pytest.raises(ValueError, match="x0"):
         if solver == "rcg":
             rcg(StandardMetric(), p, x0)
