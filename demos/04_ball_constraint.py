@@ -32,9 +32,11 @@ p = BtrsProblem(a=DiagonalOp(np.array([2.0, 2.0])), b=np.array([4.0, 0.0]))
 res = solve_trs(p, strategy="decide")
 print("boundary case :", res.x, "route:", res.route)
 
-# The always-augment strategy lifts every instance.  For positive
+# The always-augment strategy lifts every instance.  solve_trs runs its
+# eigensolve from b, so the lift's lpr_solve opens at the optimum
+# projected onto that Krylov space.  Without that state, for positive
 # definite A the lifted problem is a hard-case sphere problem whose
-# minimal eigenvector is e_1, so lpr_solve's start e_1 - b_hat is
+# minimal eigenvector is e_1, and lpr_solve's start e_1 - b_hat is
 # (1, -b)/||(1, -b)||: simultaneously inside the benign region S_E and
 # not orthogonal to the bottom eigenspace (S_H), so one
 # conjugate-gradient run from it resolves the lift.

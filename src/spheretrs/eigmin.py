@@ -3,17 +3,20 @@
 Block Lanczos with full reorthogonalization.  An iteration with k basis
 columns costs O(n*k) for the new column of the projection and the
 reorthogonalization, plus a partial eigensolve of the k-by-k projection.
+A solve started from a vector b returns its Krylov state: the same space
+approximates the solution of the sphere problem with that b (Gould, Lucidi,
+Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .linop import SymOp, require_int
+from .linop import SymOp, require_finite, require_int
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,9 @@ class MinEigResult:
     basis: List[np.ndarray]  # orthonormal, residual <= tol_eig*max(1,|lambda|)
     tol_eig: float
     iterations: int
+    #: The Krylov state ``(Q, H)`` of a solve started from b: the orthonormal
+    #: n-by-k basis Q and the projection H = Q'AQ; None without b.
+    krylov: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def cluster_tol(self) -> float:
@@ -67,6 +73,7 @@ def min_eigpair(
     a: SymOp,
     tol: float = 1e-10,
     seed: int = 0,
+    b: Optional[np.ndarray] = None,
 ) -> MinEigResult:
     """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
 
@@ -75,8 +82,13 @@ def min_eigpair(
     when the eigenvalue is numerically multiple; the block of two vectors
     is what makes that detection possible.  Deterministic given ``seed``.
     Raises ``ValueError`` when ``tol`` is not positive and finite, when
-    ``seed`` is not an integer >= 0, or when the operator returns a NaN or
-    an infinity.
+    ``seed`` is not an integer >= 0, when ``b`` is not a finite vector of
+    length n, or when the operator returns a NaN or an infinity.
+
+    The start block is two random columns.  A nonzero ``b`` takes the place
+    of the first, the second is drawn as without it, and the result keeps
+    its Krylov state (:attr:`MinEigResult.krylov`).  With no ``b``, or
+    ``b = 0``, the result does not depend on ``b``.
 
     Every iteration adds at least one column to the orthonormal basis, and
     the Ritz decomposition is exact once it has n columns, so the solve
@@ -89,8 +101,19 @@ def min_eigpair(
     require_int("seed", seed, 0)
     block = min(2, n)
 
+    start_b = False
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (n,):
+            raise ValueError(f"b must be a vector of length {n}, got shape {b.shape}")
+        require_finite("b", b)
+        start_b = bool(b.any())
+
     rng = np.random.default_rng(seed)
-    v = _orthonormalize(rng.standard_normal((n, block)), None)
+    start = rng.standard_normal((n, block))
+    if start_b:
+        start[:, 0] = b / np.linalg.norm(b)
+    v = _orthonormalize(start, None)
     # basis and a_basis = A basis hold k columns in use; h = basis' A basis.
     k = 0
     basis = a_basis = h = np.empty((0, 0))
@@ -126,7 +149,8 @@ def min_eigpair(
         # and the residual tests are skipped.
         exact = k >= n
         vecs: List[np.ndarray] = []
-        found = MinEigResult(float(theta[0]), vecs, tol, iterations)
+        krylov = (basis[:, :k], h[:k, :k]) if start_b else None
+        found = MinEigResult(float(theta[0]), vecs, tol, iterations, krylov)
         edge = int(np.count_nonzero(theta - theta[0] <= found.cluster_tol))
         # Every cluster vector must be converged, and so must the smallest
         # Ritz value outside the cluster: otherwise an unresolved copy of

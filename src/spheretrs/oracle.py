@@ -26,6 +26,9 @@ from .btrs import EPS_HARD, AffineEigenpair, BtrsProblem
 
 _WEIGHT_TINY = 1e-24  # squared coefficient below which a pole is inactive
 
+#: Largest dimension :func:`global_solve` accepts.
+GLOBAL_SOLVE_LIMIT = 2000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -184,4 +187,4 @@ def enumerate_affine_eigenvalues(
 
 def global_solve(p: BtrsProblem) -> AffineEigenpair:
     """The global minimizer (smallest affine eigenvalue); dense, n <= 2000."""
-    return enumerate_affine_eigenvalues(p, dense_limit=2000).global_
+    return enumerate_affine_eigenvalues(p, dense_limit=GLOBAL_SOLVE_LIMIT).global_

@@ -13,6 +13,11 @@ model along the path: with b = 0, S_E is the whole sphere; ``lpr_solve``
 step-size condition; and no ``SeededMetric`` solve is capped.  ``_armijo``
 alone decides each first trial.
 
+``lpr_solve`` runs its own eigensolve from b, and opens the descent at the
+optimum of the sphere problem projected onto that eigensolve's Krylov space
+(``MinEigResult.krylov``); often that start is already converged.  Given an
+``eig`` without that state it opens at s u - b.
+
 Cost model: the descent loop applies A in two places.  The line search's
 ``A d`` is one application per descent step (``A x`` at the accepted point
 follows by linearity).  A fresh ``A x`` is taken at the start, every ``K``
@@ -35,7 +40,7 @@ from .btrs import BtrsProblem, CaseInfo, classify
 from .eigmin import MinEigResult, min_eigpair
 from .geometry import MetricScheme, PointState, StandardMetric, hess_apply_stationary
 from .linop import CallbackOp, DenseOp, require_int
-from .oracle import global_solve
+from .oracle import GLOBAL_SOLVE_LIMIT, global_solve
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -213,6 +218,17 @@ def _armijo(p, s, d, decrease, cfg, capped):
     return None, None, None, None
 
 
+def _check_start(x0, n: int) -> np.ndarray:
+    """``x0`` as a float vector; raises ``ValueError`` unless it is a finite,
+    nonzero vector of length ``n``."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must be a vector of length {n}, got shape {x.shape}")
+    if not (np.isfinite(x).all() and np.linalg.norm(x) > 0):
+        raise ValueError("x0 must be finite and nonzero")
+    return x
+
+
 def _descent_loop(
     m: MetricScheme,
     p: BtrsProblem,
@@ -257,11 +273,7 @@ def _descent_loop(
             s.x.copy() if cfg.record_iterates else None,
         )
 
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (p.dim,):
-        raise ValueError(f"x0 must be a vector of length {p.dim}, got shape {x.shape}")
-    if not (np.isfinite(x).all() and np.linalg.norm(x) > 0):
-        raise ValueError("x0 must be finite and nonzero")
+    x = _check_start(x0, p.dim)
     s = fresh(x / np.linalg.norm(x))
     d = -s.g
     dg = -s.gg  # g(d, grad)
@@ -434,24 +446,38 @@ def lpr_solve(
 ) -> SolveResult:
     """Globally convergent solver built on reflection restarts.
 
-    Both cases start from s u - b, with u the minimal eigenvector of
-    :func:`classify` and s = +-1 making s u'b <= 0: a point in S_E and S_H,
-    so given ``eig`` the answer does not depend on ``cfg.rng_seed``.  A u
-    with u'b != 0 certifies the easy case; the inner solver then runs with
-    its stationarity test tightened to ||r|| <= |u'b|/2, and any return
+    Without ``eig`` it runs ``min_eigpair`` from b, whose Krylov state holds
+    an approximate solution.  Without ``x0`` the descent opens there: at
+    x0 = Q y, with y the :func:`global_solve` of the k-by-k problem
+    (Q'AQ, Q'b) projected onto the state's basis Q (Gould, Lucidi, Roma &
+    Toint 1999).  An ``eig`` with no state, or with more than
+    ``GLOBAL_SOLVE_LIMIT`` columns, gives the start s u - b, with u the
+    minimal eigenvector of :func:`classify` and s = +-1 making s u'b <= 0:
+    a point in S_E and S_H.  Either way, given ``eig`` the answer does not
+    depend on ``cfg.rng_seed``.  ``x0`` is checked before the eigensolve.
+
+    A u with u'b != 0 certifies the easy case; the inner solver then runs
+    with its stationarity test tightened to ||r|| <= |u'b|/2, and any return
     with mu >= lambda_min(A) is reflected across u and restarted.  In the
     hard case the first run is returned, with the default stationarity test:
     no non-global stationary point has u'x != 0.  The restart, not S_E,
-    makes it global, so its line searches open at the model minimizer.
+    makes it global, so its line searches open at the model minimizer, and
+    a projected start needs no certificate of its own: the descent's
+    verdicts on a fresh A x and the restart remain the solver of record.
     """
     if inner not in ("rgd", "rcg"):
         raise ValueError("inner solver must be 'rgd' or 'rcg'")
     use_cg = inner == "rcg"
+    if x0 is not None:
+        x0 = _check_start(x0, p.dim)
     if eig is None:
-        eig = min_eigpair(p.a, seed=cfg.rng_seed)
+        eig = min_eigpair(p.a, seed=cfg.rng_seed, b=p.b)
     case = classify(p, eig)
     u = case.u
-    if x0 is None:
+    if x0 is None and eig.krylov is not None and len(eig.krylov[1]) <= GLOBAL_SOLVE_LIMIT:
+        q, h = eig.krylov
+        x0 = q @ global_solve(BtrsProblem(a=DenseOp(h), b=q.T @ p.b)).x
+    elif x0 is None:
         x0 = (-1.0 if float(u @ p.b) > 0 else 1.0) * u - p.b
 
     res_cap = case.alpha / 2.0 if case.is_easy else None

@@ -9,9 +9,14 @@ lambda_min(A_hat) <= 0, so the lifted sphere problem always covers the
 ball problem, with the first coordinate absorbing any slack ||x|| < 1.
 
 The spectrum of A_hat is {0} and spec(A), with eigenvectors e_1 and
-(0, v).  So the lift's minimal eigenpair follows from A's with no operator
-application (:func:`lift_eigpair`), and every lift is solved by
-``lpr_solve`` on it.
+(0, v).  So the lift's minimal eigenpair, and its Krylov state, follow
+from A's with no operator application (:func:`lift_eigpair`), and every
+lift is solved by ``lpr_solve`` on it.
+
+The interior test needs no solver of its own: the Krylov space that
+``min_eigpair`` grows from b holds the Galerkin approximation of -A^{-1}b
+(the space of conjugate gradients' iterates, plus the random start
+column).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .btrs import BtrsProblem, objective
+from .btrs import BtrsProblem
 from .eigmin import MinEigResult, min_eigpair
 from .linop import SymOp
 from .solvers import SolveResult, SolverConfig, lpr_solve
@@ -53,14 +57,21 @@ def lift_eigpair(eig: MinEigResult) -> MinEigResult:
     application.  With ``tol = eig.cluster_tol``: each basis vector v
     becomes (0, v) when lambda_min(A) <= tol, and e_1 joins when
     lambda_min(A) >= -tol.  The lifted eigenvalue is lambda_min(A) in the
-    first case and 0 otherwise."""
+    first case and 0 otherwise.  A Krylov state (Q, H) becomes
+    ([e_1, (0; Q)], diag(0, H)), whose projected lift is the ball problem
+    on the span of Q, with the first coordinate as its slack."""
     lam, tol = eig.lambda_min, eig.cluster_tol
     basis = [np.concatenate(([0.0], v)) for v in eig.basis] if lam <= tol else []
     if lam >= -tol:
         e1 = np.zeros(eig.basis[0].size + 1)
         e1[0] = 1.0
         basis.append(e1)
-    return MinEigResult(lam if lam <= tol else 0.0, basis, eig.tol_eig, 0)
+    krylov = None
+    if eig.krylov is not None:
+        q, h = (np.pad(m, ((1, 0), (1, 0))) for m in eig.krylov)
+        q[0, 0] = 1.0
+        krylov = (q, h)
+    return MinEigResult(lam if lam <= tol else 0.0, basis, eig.tol_eig, 0, krylov)
 
 
 def psd_init(p_hat: BtrsProblem) -> np.ndarray:
@@ -68,8 +79,9 @@ def psd_init(p_hat: BtrsProblem) -> np.ndarray:
 
     When A is positive definite, e_1 spans the minimal eigenspace of
     diag(0, A) and is orthogonal to (0, b), so this is the start
-    ``e_1 - b_hat`` that ``lpr_solve`` takes on the lift.  It lies in both
-    S_E and S_H, so a single deterministic run reaches the global optimum.
+    ``e_1 - b_hat`` that ``lpr_solve`` takes on the lift when its ``eig``
+    has no Krylov state.  It lies in both S_E and S_H, so a single
+    deterministic run reaches the global optimum.
     """
     b = p_hat.b[1:]
     x = np.concatenate(([1.0], -b))
@@ -89,15 +101,6 @@ class TrsResult:
         return None if self.boundary is None else self.boundary.case.kind
 
 
-class _LeftBall(Exception):
-    """A CG iterate for A y = -b reached the boundary of the ball."""
-
-
-def _stop_outside_ball(y: np.ndarray):
-    if np.linalg.norm(y) >= 1.0 - 1e-12:
-        raise _LeftBall
-
-
 def solve_trs(
     p: BtrsProblem,
     strategy: str = "decide",
@@ -106,40 +109,37 @@ def solve_trs(
 ) -> TrsResult:
     """Solve min q(x) subject to ||x|| <= 1.
 
-    The route is chosen once.  strategy "decide" tries the unconstrained
-    minimizer -A^{-1}b by conjugate gradients when A is positive definite
-    ("interior" if it lies inside the ball), otherwise solves the boundary
-    problem directly ("direct").  CG iterates from y_0 = 0 grow in norm for
-    positive definite A (Steihaug 1983), so the first iterate that leaves
-    the ball ends that solve and settles the route as "direct".  strategy
-    "always_augment", or a CG solve that fails to converge, solves the
-    lifted problem in dimension n+1 ("augmented"), which needs no linear
-    solve; the first coordinate of its solution is slack.  Each boundary
-    route is one ``lpr_solve`` call, and ``q`` is that solve's: the lift's
-    objective equals q(x) exactly.
+    Without ``eig`` it runs ``min_eigpair`` from b, so the eigensolve's
+    Krylov state (Q, H) holds the approximate solutions.  The route is
+    chosen once.  strategy "decide" solves the boundary problem directly
+    ("direct") unless A is positive definite.  Then the Galerkin solution
+    y = -Q H^{-1} Q'b of A y = -b settles the route, once one fresh A y
+    shows ||A y + b|| <= min(tol_res, 1e-10) ||b||: "interior" if y lies
+    inside the ball, "direct" if not.  strategy "always_augment", a
+    Galerkin solution that fails that test, or an ``eig`` with no Krylov
+    state solves the lifted problem in dimension n+1 ("augmented"), which
+    needs no linear solve; the first coordinate of its solution is slack.
+    Each boundary route is one ``lpr_solve`` call, which opens at the
+    projected optimum, and ``q`` is that solve's: the lift's objective
+    equals q(x) exactly.
     """
     if strategy not in ("decide", "always_augment"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if eig is None:
-        eig = min_eigpair(p.a, seed=cfg.rng_seed)
+        eig = min_eigpair(p.a, seed=cfg.rng_seed, b=p.b)
 
     route = "augmented" if strategy == "always_augment" else "direct"
     if route == "direct" and eig.lambda_min > 1e-10:
-        n = p.dim
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=p.a.apply)
-        tol = min(cfg.tol_res, 1e-10)
-        try:
-            y, info = scipy.sparse.linalg.cg(
-                op, -p.b, rtol=tol, atol=0.0, maxiter=20 * n, callback=_stop_outside_ball
-            )
-        except _LeftBall:
-            pass
-        else:
-            if info != 0:
-                route = "augmented"
-            elif np.linalg.norm(y) < 1.0 - 1e-12:
-                return TrsResult(x=y, q=objective(p, y), route="interior")
+        route = "augmented"
+        if eig.krylov is not None:
+            q, h = eig.krylov
+            y = -(q @ np.linalg.solve(h, q.T @ p.b))
+            ay = p.a.apply(y)
+            if np.linalg.norm(ay + p.b) <= min(cfg.tol_res, 1e-10) * p.b_norm:
+                if np.linalg.norm(y) < 1.0 - 1e-12:
+                    return TrsResult(x=y, q=0.5 * float(y @ ay) + float(p.b @ y), route="interior")
+                route = "direct"
 
     lifted = route == "augmented"
     res = lpr_solve(

@@ -133,3 +133,53 @@ def test_lowest_ritz_takes_the_full_decomposition_inside_a_cluster():
         assert len(theta) == count
         assert np.allclose(theta, np.linalg.eigh(h)[0][:count], atol=1e-12)
         assert np.allclose(h @ s, s * theta, atol=1e-12)
+
+
+@pytest.mark.parametrize("b", [None, np.zeros(40)])
+def test_b_zero_leaves_the_plain_solve(b):
+    p, _ = generate(GenSpec(n=40, gap=1e-2, seed=2))
+    plain = min_eigpair(p.a, seed=3)
+    res = min_eigpair(p.a, seed=3, b=b)
+    assert res.krylov is plain.krylov is None
+    assert (res.lambda_min, res.tol_eig, res.iterations) == (
+        plain.lambda_min,
+        plain.tol_eig,
+        plain.iterations,
+    )
+    assert [v.tobytes() for v in res.basis] == [v.tobytes() for v in plain.basis]
+
+
+def test_b_start_keeps_the_krylov_state():
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    res = min_eigpair(p.a, b=p.b)
+    q, h = res.krylov
+    k = q.shape[1]
+    assert q.shape == (60, k) and h.shape == (k, k)
+    assert np.allclose(q.T @ q, np.eye(k), atol=1e-12)
+    assert np.allclose(h, q.T @ p.a.to_dense() @ q, atol=1e-12)
+    # b spans the first column of the start block.
+    assert abs(q[:, 0] @ p.b) == pytest.approx(p.b_norm, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "gap, kw", [(0.5, _PD), (2.0, _PD), (1e-2, {}), (0.0, {})]
+)
+def test_b_start_leaves_the_bench_grid_eigenpair(gap, kw):
+    # The ball benchmark's grid; its indefinite instances are also the
+    # sphere benchmark's gap 1e-2 and gap 0 instances.
+    p, _ = generate(GenSpec(n=500, gap=gap, seed=1, **kw))
+    plain = min_eigpair(p.a)
+    res = min_eigpair(p.a, b=p.b)
+    lam = plain.lambda_min
+    assert abs(res.lambda_min - lam) <= 1e-12 * max(1.0, abs(lam))
+    assert len(res.basis) == len(plain.basis)
+    assert classify(p, res).kind == classify(p, plain).kind
+
+
+@pytest.mark.parametrize(
+    "b, match",
+    [(np.ones(3), "length 4"), (np.ones((4, 1)), "length 4"), (np.r_[1.0, np.nan, 0, 0], "b has")],
+)
+def test_rejects_bad_b(b, match):
+    with pytest.raises(ValueError, match=match):
+        min_eigpair(DiagonalOp(np.arange(1.0, 5.0)), b=b)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from spheretrs import (
     enumerate_affine_eigenvalues,
     generate,
     GenSpec,
+    MinEigResult,
+    global_solve,
     haar_unit,
     in_SE,
     lpr_solve,
@@ -35,6 +38,7 @@ from spheretrs import (
     rgrad,
 )
 import spheretrs.solvers as solvers_mod
+from spheretrs.oracle import GLOBAL_SOLVE_LIMIT
 from spheretrs.solvers import K
 
 
@@ -500,10 +504,11 @@ def test_rejects_a_zero_or_non_finite_start(x0, solver):
 
 def test_lpr_solve_opens_at_the_model_minimizer():
     # Opened at 1/||b||, this solve takes about 4,000 rows; the restart, not
-    # a capped step, is what makes lpr_solve global.
+    # a capped step, is what makes lpr_solve global.  The eigensolve runs
+    # without b, so the descent opens at s u - b, not at a projected optimum.
     p, planted = generate(GenSpec(n=500, gap=1e-2, seed=1))
     q_star = objective(p, planted.x)
-    res = lpr_solve(p)
+    res = lpr_solve(p, eig=min_eigpair(p.a))
     assert res.converged
     assert len(res.trace.iters) <= 1000
     assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
@@ -526,7 +531,7 @@ def test_paper_solvers_keep_the_capped_step():
     for res in (naive_rgd(p, x0, cfg), double_start(p, cfg), rcg(StandardMetric(), p, x0, cfg)):
         assert max(res.trace.step) > 0
         assert _capped_steps(p, res)
-    assert not _capped_steps(p, lpr_solve(p, cfg=cfg))
+    assert not _capped_steps(p, lpr_solve(p, cfg=cfg, eig=min_eigpair(p.a)))
 
 
 def test_seeded_lpr_solve_runs_the_public_rcg():
@@ -544,3 +549,66 @@ def test_seeded_lpr_solve_runs_the_public_rcg():
     assert res.converged
     assert res.trace.step == ref.trace.step and res.trace.q == ref.trace.q
     assert res.x.tobytes() == ref.x.tobytes()
+
+
+def test_descent_finishes_from_the_projected_start():
+    # Shifting A by -1e7 I changes neither the Krylov spaces nor the
+    # minimizer, but the eigensolve's residual test scales with
+    # |lambda_min| ~ 1e7 while the sphere's does not: the eigenpair
+    # converges first, and the projected optimum is only a start.
+    p0, planted = generate(GenSpec(n=200, gap=1e-2, seed=1))
+    shift = 1e7
+    p = BtrsProblem(a=DenseOp(p0.a.to_dense() - shift * np.eye(200)), b=p0.b)
+    eig = min_eigpair(p.a, b=p.b)
+    res = lpr_solve(p, eig=eig)
+    assert res.trace.res_norm[0] > 10 * SolverConfig().tol_res * max(1.0, p.b_norm)
+    assert res.converged and len(res.trace.iters) > 1
+    q_star = objective(p0, planted.x)
+    assert abs(objective(p0, res.x) - q_star) <= 1e-10 * abs(q_star)
+    assert abs(res.q - objective(p, global_solve(p).x)) <= 1e-14 * shift
+
+
+def test_lpr_solve_honours_an_explicit_x0():
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    x0 = -p.b / p.b_norm
+    projected = lpr_solve(p, eig=min_eigpair(p.a, b=p.b), x0=x0)
+    plain = lpr_solve(p, eig=min_eigpair(p.a), x0=x0)
+    assert projected.trace.q[0] == objective(p, x0)
+    assert projected.trace.q == plain.trace.q
+    assert projected.x.tobytes() == plain.x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x0, match",
+    [
+        (np.ones((60, 1)), "vector of length 60"),
+        (np.r_[np.nan, np.ones(59)], "finite and nonzero"),
+        (np.zeros(60), "finite and nonzero"),
+    ],
+)
+def test_lpr_solve_checks_x0_before_the_eigensolve(x0, match):
+    p0, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    a = p0.a.to_dense()
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return a @ v
+
+    with pytest.raises(ValueError, match=match):
+        lpr_solve(BtrsProblem(a=CallbackOp(fn, 60), b=p0.b), x0=x0)
+    assert calls[0] == 0
+
+
+def test_krylov_state_beyond_the_global_solve_limit():
+    # k = 2001 columns: the projected problem is too large for global_solve,
+    # so the solve opens at s u - b, as with no Krylov state.
+    n = GLOBAL_SOLVE_LIMIT + 1
+    d = np.r_[-1.0, np.linspace(0.0, 1.0, n - 1)]
+    p = diag_problem(d, np.r_[0.5, np.full(n - 1, 1.0 / n)])
+    e1 = np.eye(n)[0]
+    stateless = MinEigResult(-1.0, [e1], 1e-10, 1)
+    eig = replace(stateless, krylov=(np.eye(n), np.diag(d)))
+    res = lpr_solve(p, eig=eig)
+    assert res.converged
+    assert res.trace.q == lpr_solve(p, eig=stateless).trace.q

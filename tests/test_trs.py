@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import spheretrs.solvers as solvers_mod
 import spheretrs.trs as trs_mod
@@ -250,44 +249,71 @@ def test_answers_do_not_depend_on_rng_seed(gap):
         assert x0.tobytes() == x55.tobytes()
 
 
-def test_cg_failure_falls_back_to_the_lift(monkeypatch):
-    def no_convergence(op, rhs, **kwargs):
-        return np.zeros_like(rhs), 1
-
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", no_convergence)
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((6, 6))
-    boundary = BtrsProblem(a=DenseOp(g @ g.T / 6 + 0.5 * np.eye(6)), b=3.0 * rng.standard_normal(6))
-    for p in (diag_problem([2.0, 2.0], [0.5, 0.0]), boundary):
-        res = solve_trs(p, "decide")
-        assert res.route == "augmented" and res.boundary.converged
-        _, q_true = trs_optimum(p)
-        assert res.q == pytest.approx(q_true, rel=1e-9, abs=1e-9)
+def _pd_problem(gap):
+    """Positive definite gen n=40 problem: -A^{-1}b lies inside the ball for
+    gap 0.5 and outside it for gap 2."""
+    p, _ = generate(GenSpec(n=40, gap=gap, seed=1, noise_frac=0.0, signal_range=(1.0, 10.0)))
+    return p
 
 
-def test_interior_test_stops_once_cg_leaves_the_ball():
-    # Positive definite, with -A^{-1}b outside the ball: CG's second iterate
-    # already has norm >= 1, so the route is settled there.
-    p0, _ = generate(GenSpec(n=40, gap=2.0, seed=1, noise_frac=0.0, signal_range=(1.0, 10.0)))
-    eig = min_eigpair(p0.a, tol=1e-10)
+def test_interior_route_costs_one_application_after_the_eigensolve():
+    p0 = _pd_problem(0.5)
+    p = _counting(p0)
+    eig = min_eigpair(p.a, b=p.b)
+    eig_calls = p.a.calls[0]
     assert eig.lambda_min > 0
     p = _counting(p0)
-    norms = []
-    op = scipy.sparse.linalg.LinearOperator((40, 40), matvec=p.a.apply)
-    y, info = scipy.sparse.linalg.cg(
-        op, -p.b, rtol=1e-10, atol=0.0, callback=lambda yk: norms.append(np.linalg.norm(yk))
-    )
-    assert info == 0 and np.linalg.norm(y) > 1.0
-    full_cg = p.a.calls[0]
-    leaves = next(k for k, nk in enumerate(norms, 1) if nk >= 1.0 - 1e-12)
-    assert leaves == 2 < len(norms)
+    res = solve_trs(p, "decide")
+    assert res.route == "interior"
+    assert p.a.calls[0] == eig_calls + 1
+    y = np.linalg.solve(p0.a.to_dense(), -p0.b)
+    assert np.linalg.norm(res.x - y) <= 1e-10 * np.linalg.norm(y)
+    assert res.q == pytest.approx(objective(p0, y), rel=1e-14)
 
+
+def test_projected_direct_route_costs_one_application_before_lpr_solve():
+    p0 = _pd_problem(2.0)
+    eig = min_eigpair(p0.a, b=p0.b)
+    assert eig.lambda_min > 0
     p = _counting(p0)
     direct = lpr_solve(p, eig=eig)
     lpr_calls = p.a.calls[0]
     p = _counting(p0)
     res = solve_trs(p, "decide", eig=eig)
     assert res.route == "direct"
+    assert p.a.calls[0] == lpr_calls + 1
     assert res.x.tobytes() == direct.x.tobytes()
-    # The interior test applies A only up to the iterate that left the ball.
-    assert p.a.calls[0] - lpr_calls == full_cg - (len(norms) - leaves)
+    _, q_true = trs_optimum(p0)
+    assert res.q == pytest.approx(q_true, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.5, 2.0])
+def test_stateless_eig_takes_the_lift(gap):
+    # Without a Krylov state there is no Galerkin solution to test.
+    p = _pd_problem(gap)
+    eig = min_eigpair(p.a)
+    assert eig.krylov is None and eig.lambda_min > 0
+    res = solve_trs(p, "decide", eig=eig)
+    assert res.route == "augmented" and res.boundary.converged
+    _, q_true = trs_optimum(p)
+    assert res.q == pytest.approx(q_true, rel=1e-10)
+
+
+@pytest.mark.parametrize("gap", [0.5, 1e-2])
+def test_lift_eigpair_lifts_the_krylov_state(gap):
+    p, _ = generate(GenSpec(n=30, gap=gap, seed=1))
+    eig = min_eigpair(p.a, b=p.b)
+    q, h = trs_mod.lift_eigpair(eig).krylov
+    k = eig.krylov[0].shape[1]
+    assert q.shape == (31, k + 1) and h.shape == (k + 1, k + 1)
+    assert np.allclose(q.T @ q, np.eye(k + 1), atol=1e-12)
+    assert np.allclose(h, q.T @ augment(p).a.to_dense() @ q, atol=1e-12)
+    assert np.array_equal(q[:, 0], np.eye(31)[0])
+
+
+def test_zero_b_positive_definite_takes_the_lift():
+    # With b = 0 the eigensolve keeps no Krylov state; the lift returns x = 0.
+    p = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    res = solve_trs(p, "decide")
+    assert res.route == "augmented" and res.boundary.converged
+    assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
