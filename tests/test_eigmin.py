@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from spheretrs import (
     generate,
     min_eigpair,
 )
-from spheretrs.eigmin import _lowest_ritz
+from spheretrs.eigmin import MinEigResult, _lowest_ritz
 
 
 def test_multiplicity_two_basis():
@@ -69,16 +71,71 @@ def test_residual_bound_respected():
 @pytest.mark.parametrize("tol", [1e-10, 1e-30])
 def test_returns_within_n_iterations(d, opaque, tol):
     # tol=1e-30 sits below roundoff, so the residual tests fail until the
-    # Krylov space is exhausted, and the identity breaks down and redraws.
-    # Four copies of 40 eigenvalues hold a block Krylov space of at most 80
-    # of the 160 columns: the basis outgrows its first allocations and, at
-    # tol=1e-30, reaches n only through redraws.
+    # next block is empty and every residual reads 0; the identity's start
+    # block is already invariant.  Four copies of 40 eigenvalues hold a block
+    # Krylov space of 80 of the 160 columns in exact arithmetic; at
+    # tol=1e-30 roundoff carries the basis on to n, so it outgrows its first
+    # allocations.
     a = CallbackOp(lambda v: d * v, d.size) if opaque else DiagonalOp(d)
     for seed in range(3):
         res = min_eigpair(a, tol=tol, seed=seed)
         assert res.iterations <= d.size
         assert res.lambda_min == pytest.approx(d.min(), abs=1e-12)
         assert 1 <= len(res.basis) <= np.count_nonzero(d == d.min())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_invariant_start_block_returns_at_once(seed):
+    # The start block spans an invariant space of the identity, so the next
+    # block is empty: the solve returns with no fresh draw in the complement.
+    res = min_eigpair(DiagonalOp(np.ones(5)), tol=1e-30, seed=seed)
+    assert res.iterations == 1
+    assert res.lambda_min == pytest.approx(1.0, abs=1e-15)
+    assert len(res.basis) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_huge_norm_stays_within_n_columns(n):
+    # At ||A|| = 1e20 the rank rule keeps a roundoff column once the basis
+    # fills R^n; the next block is capped at n - k columns, so the solve
+    # returns rather than outgrowing the basis.
+    res = min_eigpair(DiagonalOp(np.r_[1.0, 1e20 * np.arange(1.0, n)]), seed=0)
+    assert res.iterations <= n and len(res.basis) >= 1
+
+
+def test_matrix_free_grid_laplacian():
+    # The 5-point Dirichlet Laplacian on a 50x50 grid, beyond the dense
+    # oracle's reach; its bottom eigenvalue 8 sin^2(pi/102) is simple.
+    m = 50
+
+    def laplacian(v):
+        u = v.reshape(m, m)
+        out = 4.0 * u
+        out[1:] -= u[:-1]
+        out[:-1] -= u[1:]
+        out[:, 1:] -= u[:, :-1]
+        out[:, :-1] -= u[:, 1:]
+        return out.ravel()
+
+    a = CallbackOp(laplacian, m * m)
+    b = np.random.default_rng(0).standard_normal(m * m)
+    res = min_eigpair(a, b=b)
+    lam = 8.0 * np.sin(np.pi / (2 * (m + 1))) ** 2
+    assert abs(res.lambda_min - lam) <= 1e-12 * lam
+    assert len(res.basis) == 1
+    q, h = res.krylov
+    k = q.shape[1]
+    assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
+    aq = np.column_stack([laplacian(c) for c in q.T])
+    assert np.abs(h - q.T @ aq).max() <= 1e-12
+
+
+def test_rejects_an_empty_basis():
+    with pytest.raises(ValueError, match="^basis "):
+        MinEigResult(1.0, [], 1e-10, 1)
+    res = min_eigpair(DiagonalOp(np.arange(1.0, 5.0)))
+    with pytest.raises(ValueError, match="^basis "):
+        replace(res, basis=[])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
