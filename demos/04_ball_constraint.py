@@ -16,7 +16,6 @@ from spheretrs import (
     augment,
     classify,
     min_eigpair,
-    psd_init,
     solve_trs,
 )
 
@@ -34,16 +33,11 @@ print("boundary case :", res.x, "route:", res.route)
 
 # The always-augment strategy lifts every instance.  solve_trs runs its
 # eigensolve from b, so the lift's lpr_solve opens at the optimum
-# projected onto that Krylov space.  Without that state, for positive
-# definite A the lifted problem is a hard-case sphere problem whose
-# minimal eigenvector is e_1, and lpr_solve's start e_1 - b_hat is
-# (1, -b)/||(1, -b)||: simultaneously inside the benign region S_E and
-# not orthogonal to the bottom eigenspace (S_H), so one
-# conjugate-gradient run from it resolves the lift.
+# projected onto that Krylov space.  For positive definite A the lifted
+# problem is a hard-case sphere problem whose minimal eigenvector is e_1.
 res = solve_trs(p, strategy="always_augment")
 print("lifted        :", res.x, "route:", res.route, "case:", res.case_kind)
 
 p_hat = augment(p)
 case = classify(p_hat, min_eigpair(p_hat.a))
 print("lifted case   :", case.kind, "(lambda_min:", case.lambda_min, ")")
-print("lifted start  :", psd_init(p_hat))

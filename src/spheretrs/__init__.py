@@ -73,7 +73,7 @@ from .solvers import (
     rcg,
     rgd,
 )
-from .trs import TrsResult, augment, psd_init, solve_trs
+from .trs import TrsResult, augment, solve_trs
 
 __all__ = [
     "AffineEigenpair",
@@ -126,7 +126,6 @@ __all__ = [
     "naive_rgd",
     "objective",
     "project_tangent",
-    "psd_init",
     "rcg",
     "residual",
     "retract",

@@ -224,28 +224,22 @@ def _bench_one(task):
 def cmd_bench(args) -> int:
     solvers = [s for s in args.solvers.split(",") if s]
     if not solvers:
-        print("error: empty solver list", file=sys.stderr)
-        return 1
+        raise ValueError("empty solver list")
     known = {"rgd", "rcg", "prc-rgd", "prc-rcg"}
     bad = set(solvers) - known
     if bad:
-        print(f"error: unknown solvers {sorted(bad)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown solvers {sorted(bad)}")
     top = args.n - OVERSAMPLE
     if any(name.startswith("prc-") for name in solvers) and not 1 <= args.rank <= top:
-        print(f"error: --rank must lie in [1, n - {OVERSAMPLE}] = [1, {top}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"--rank must lie in [1, n - {OVERSAMPLE}] = [1, {top}]")
     try:
         gaps = [float(g) for g in args.gaps.split(",") if g]
     except ValueError as exc:
-        print(f"error: --gaps: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--gaps: {exc}") from None
     if not gaps:
-        print("error: empty gap list", file=sys.stderr)
-        return 1
+        raise ValueError("empty gap list")
     if args.seeds < 1:
-        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     for gap in gaps:
         GenSpec(n=args.n, gap=gap)  # rejects a bad n or gap before any run
     tasks = [

@@ -9,7 +9,7 @@ partial eigensolve of H.  B misses what ``_orthonormalize`` dropped, at most
 1e-12*max(1, |R|max) per direction, so the test under-reads only where
 1e-12*||A|| nears tol*max(1, |theta|); ``classify`` still raises there.
 
-A solve started from a vector b returns its Krylov state: the same space
+A solve given a vector b returns its Krylov state: the same space
 approximates the solution of the sphere problem with that b (Gould, Lucidi,
 Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read.
 """
@@ -36,7 +36,7 @@ class MinEigResult:
     basis: List[np.ndarray]  # orthonormal, residual <= tol_eig*max(1,|lambda|)
     tol_eig: float
     iterations: int
-    #: The Krylov state ``(Q, H)`` of a solve started from b: the orthonormal
+    #: The Krylov state ``(Q, H)`` of a solve given b: the orthonormal
     #: n-by-k basis Q and the projection H = Q'AQ; None without b.
     krylov: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -101,9 +101,10 @@ def min_eigpair(
     length n, or when the operator returns a NaN or an infinity.
 
     The start block is two random columns.  A nonzero ``b`` takes the place
-    of the first, the second is drawn as without it, and the result keeps
-    its Krylov state (:attr:`MinEigResult.krylov`).  With no ``b``, or
-    ``b = 0``, the result does not depend on ``b``.
+    of the first, and the second is drawn as without it.  Given any ``b``,
+    ``b = 0`` included, the result keeps its Krylov state
+    (:attr:`MinEigResult.krylov`); with ``b = 0`` the start, and so
+    everything else, is the b-less solve's.
 
     Each Ritz residual is read from B (see the module docstring).  An empty
     next block means the Krylov space is invariant: every residual reads 0
@@ -116,17 +117,15 @@ def min_eigpair(
     require_int("seed", seed, 0)
     block = min(2, n)
 
-    start_b = False
     if b is not None:
         b = np.asarray(b, dtype=float)
         if b.shape != (n,):
             raise ValueError(f"b must be a vector of length {n}, got shape {b.shape}")
         require_finite("b", b)
-        start_b = bool(b.any())
 
     rng = np.random.default_rng(seed)
     start = rng.standard_normal((n, block))
-    if start_b:
+    if b is not None and b.any():
         start[:, 0] = b / np.linalg.norm(b)
     v = _orthonormalize(start, None)
     # q holds the k basis columns in use; h = q' A q.
@@ -164,5 +163,5 @@ def min_eigpair(
             break
 
     basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]
-    krylov = (q[:, :k], h[:k, :k]) if start_b else None
+    krylov = None if b is None else (q[:, :k], h[:k, :k])
     return MinEigResult(float(theta[0]), basis, tol, iterations, krylov)

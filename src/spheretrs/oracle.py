@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .btrs import EPS_HARD, AffineEigenpair, BtrsProblem
+from .btrs import EPS_HARD, AffineEigenpair, BtrsProblem, residual
 
 _WEIGHT_TINY = 1e-24  # squared coefficient below which a pole is inactive
 
@@ -76,7 +76,7 @@ def _unit_pair(mu: float, x: np.ndarray, p: BtrsProblem) -> AffineEigenpair:
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x = x / nrm
-    res = float(np.linalg.norm(mu * x - p.a.apply(x) - p.b))
+    res = float(np.linalg.norm(residual(p, x, mu)))
     return AffineEigenpair(float(mu), x, res)
 
 

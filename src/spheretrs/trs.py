@@ -8,15 +8,14 @@ A_hat = diag(0, A) and b_hat = (0; b): the added zero eigenvalue makes
 lambda_min(A_hat) <= 0, so the lifted sphere problem always covers the
 ball problem, with the first coordinate absorbing any slack ||x|| < 1.
 
-The spectrum of A_hat is {0} and spec(A), with eigenvectors e_1 and
-(0, v).  So the lift's minimal eigenpair, and its Krylov state, follow
+``solve_trs`` runs one eigensolve, ``min_eigpair`` from b, and every route
+reads its Krylov state (Q, H).  That space holds the Galerkin
+approximation of -A^{-1}b (the space of conjugate gradients' iterates,
+plus the random start column), so the interior test needs no solver of
+its own.  The spectrum of A_hat is {0} and spec(A), with eigenvectors e_1
+and (0, v).  So the lift's minimal eigenpair, and its Krylov state, follow
 from A's with no operator application (:func:`lift_eigpair`), and every
 lift is solved by ``lpr_solve`` on it.
-
-The interior test needs no solver of its own: the Krylov space that
-``min_eigpair`` grows from b holds the Galerkin approximation of -A^{-1}b
-(the space of conjugate gradients' iterates, plus the random start
-column).
 """
 
 from __future__ import annotations
@@ -54,38 +53,22 @@ def augment(p: BtrsProblem) -> BtrsProblem:
 
 def lift_eigpair(eig: MinEigResult) -> MinEigResult:
     """The minimal eigenpair of diag(0, A) from A's, with no operator
-    application.  With ``tol = eig.cluster_tol``: each basis vector v
-    becomes (0, v) when lambda_min(A) <= tol, and e_1 joins when
-    lambda_min(A) >= -tol.  The lifted eigenvalue is lambda_min(A) in the
-    first case and 0 otherwise.  A Krylov state (Q, H) becomes
-    ([e_1, (0; Q)], diag(0, H)), whose projected lift is the ball problem
-    on the span of Q, with the first coordinate as its slack."""
+    application; ``eig`` must carry a Krylov state.  With
+    ``tol = eig.cluster_tol``: each basis vector v becomes (0, v) when
+    lambda_min(A) <= tol, and e_1 joins when lambda_min(A) >= -tol.  The
+    lifted eigenvalue is lambda_min(A) in the first case and 0 otherwise.
+    The state (Q, H) becomes ([e_1, (0; Q)], diag(0, H)), whose projected
+    lift is the ball problem on the span of Q, with the first coordinate
+    as its slack."""
     lam, tol = eig.lambda_min, eig.cluster_tol
     basis = [np.concatenate(([0.0], v)) for v in eig.basis] if lam <= tol else []
     if lam >= -tol:
         e1 = np.zeros(eig.basis[0].size + 1)
         e1[0] = 1.0
         basis.append(e1)
-    krylov = None
-    if eig.krylov is not None:
-        q, h = (np.pad(m, ((1, 0), (1, 0))) for m in eig.krylov)
-        q[0, 0] = 1.0
-        krylov = (q, h)
-    return MinEigResult(lam if lam <= tol else 0.0, basis, eig.tol_eig, 0, krylov)
-
-
-def psd_init(p_hat: BtrsProblem) -> np.ndarray:
-    """Start point (1, -b) / sqrt(1 + ||b||^2) for the augmented problem.
-
-    When A is positive definite, e_1 spans the minimal eigenspace of
-    diag(0, A) and is orthogonal to (0, b), so this is the start
-    ``e_1 - b_hat`` that ``lpr_solve`` takes on the lift when its ``eig``
-    has no Krylov state.  It lies in both S_E and S_H, so a single
-    deterministic run reaches the global optimum.
-    """
-    b = p_hat.b[1:]
-    x = np.concatenate(([1.0], -b))
-    return x / np.linalg.norm(x)
+    q, h = (np.pad(m, ((1, 0), (1, 0))) for m in eig.krylov)
+    q[0, 0] = 1.0
+    return MinEigResult(lam if lam <= tol else 0.0, basis, eig.tol_eig, 0, (q, h))
 
 
 @dataclass
@@ -102,44 +85,37 @@ class TrsResult:
 
 
 def solve_trs(
-    p: BtrsProblem,
-    strategy: str = "decide",
-    cfg: SolverConfig = SolverConfig(),
-    eig: Optional[MinEigResult] = None,
+    p: BtrsProblem, strategy: str = "decide", cfg: SolverConfig = SolverConfig()
 ) -> TrsResult:
     """Solve min q(x) subject to ||x|| <= 1.
 
-    Without ``eig`` it runs ``min_eigpair`` from b, so the eigensolve's
-    Krylov state (Q, H) holds the approximate solutions.  The route is
-    chosen once.  strategy "decide" solves the boundary problem directly
-    ("direct") unless A is positive definite.  Then the Galerkin solution
+    It runs ``min_eigpair`` from b once, and the eigensolve's Krylov state
+    (Q, H) holds the approximate solutions.  The route is chosen once.
+    strategy "decide" solves the boundary problem directly ("direct")
+    unless A is positive definite.  Then the Galerkin solution
     y = -Q H^{-1} Q'b of A y = -b settles the route, once one fresh A y
     shows ||A y + b|| <= min(tol_res, 1e-10) ||b||: "interior" if y lies
-    inside the ball, "direct" if not.  strategy "always_augment", a
-    Galerkin solution that fails that test, or an ``eig`` with no Krylov
-    state solves the lifted problem in dimension n+1 ("augmented"), which
-    needs no linear solve; the first coordinate of its solution is slack.
-    Each boundary route is one ``lpr_solve`` call, which opens at the
-    projected optimum, and ``q`` is that solve's: the lift's objective
-    equals q(x) exactly.
+    inside the ball, "direct" if not.  strategy "always_augment", or a
+    Galerkin solution that fails that test, solves the lifted problem in
+    dimension n+1 ("augmented"), which needs no linear solve; the first
+    coordinate of its solution is slack.  Each boundary route is one
+    ``lpr_solve`` call, which opens at the projected optimum, and ``q`` is
+    that solve's: the lift's objective equals q(x) exactly.
     """
     if strategy not in ("decide", "always_augment"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if eig is None:
-        eig = min_eigpair(p.a, seed=cfg.rng_seed, b=p.b)
-
+    eig = min_eigpair(p.a, seed=cfg.rng_seed, b=p.b)
     route = "augmented" if strategy == "always_augment" else "direct"
     if route == "direct" and eig.lambda_min > 1e-10:
-        route = "augmented"
-        if eig.krylov is not None:
-            q, h = eig.krylov
-            y = -(q @ np.linalg.solve(h, q.T @ p.b))
-            ay = p.a.apply(y)
-            if np.linalg.norm(ay + p.b) <= min(cfg.tol_res, 1e-10) * p.b_norm:
-                if np.linalg.norm(y) < 1.0 - 1e-12:
-                    return TrsResult(x=y, q=0.5 * float(y @ ay) + float(p.b @ y), route="interior")
-                route = "direct"
+        q, h = eig.krylov
+        y = -(q @ np.linalg.solve(h, q.T @ p.b))
+        ay = p.a.apply(y)
+        if np.linalg.norm(ay + p.b) <= min(cfg.tol_res, 1e-10) * p.b_norm:
+            if np.linalg.norm(y) < 1.0 - 1e-12:
+                return TrsResult(x=y, q=0.5 * float(y @ ay) + float(p.b @ y), route="interior")
+        else:
+            route = "augmented"
 
     lifted = route == "augmented"
     res = lpr_solve(

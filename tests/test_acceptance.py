@@ -32,7 +32,6 @@ from spheretrs import (
     naive_rgd,
     objective,
     project_tangent,
-    psd_init,
     rcg,
     residual,
     retract,
@@ -285,7 +284,8 @@ def test_08_trs_augmentation(report):
         if pd:
             p_hat = augment(p)
             case = classify(p_hat, min_eigpair(p_hat.a, seed=trial))
-            x0 = psd_init(p_hat)
+            x0 = np.concatenate(([1.0], -b))
+            x0 /= np.linalg.norm(x0)
             rep_hat = enumerate_affine_eigenvalues(p_hat)
             in_se = all(
                 float(v @ p_hat.b) * float(v @ x0) <= 1e-12 for v in rep_hat.min_eigvecs

@@ -197,7 +197,15 @@ def test_b_zero_leaves_the_plain_solve(b):
     p, _ = generate(GenSpec(n=40, gap=1e-2, seed=2))
     plain = min_eigpair(p.a, seed=3)
     res = min_eigpair(p.a, seed=3, b=b)
-    assert res.krylov is plain.krylov is None
+    assert plain.krylov is None
+    if b is None:
+        assert res.krylov is None
+    else:
+        # b = 0 keeps the Krylov state of the b-less start.
+        q, h = res.krylov
+        k = q.shape[1]
+        assert np.allclose(q.T @ q, np.eye(k), atol=1e-12)
+        assert np.allclose(h, q.T @ p.a.to_dense() @ q, atol=1e-12)
     assert (res.lambda_min, res.tol_eig, res.iterations) == (
         plain.lambda_min,
         plain.tol_eig,

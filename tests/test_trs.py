@@ -17,7 +17,6 @@ from spheretrs import (
     lpr_solve,
     min_eigpair,
     objective,
-    psd_init,
     solve_trs,
 )
 
@@ -53,18 +52,6 @@ def test_augment_structure():
         assert 0.5 * z @ p_hat.a.apply(z) + p_hat.b @ z == pytest.approx(
             0.5 * x @ p.a.apply(x) + p.b @ x
         )
-
-
-def test_psd_init_values():
-    p = diag_problem([1.0, 3.0], [1.0, 1.0])
-    x0 = psd_init(augment(p))
-    r3 = 1.0 / np.sqrt(3.0)
-    assert np.allclose(x0, [r3, -r3, -r3])
-    p0 = diag_problem([1.0, 3.0], [0.0, 0.0])
-    assert np.allclose(psd_init(augment(p0)), [1.0, 0.0, 0.0])
-    rng = np.random.default_rng(0)
-    pb = diag_problem([1.0, 2.0, 3.0], rng.standard_normal(3))
-    assert np.linalg.norm(psd_init(augment(pb))) == pytest.approx(1.0)
 
 
 def test_interior_route():
@@ -112,7 +99,8 @@ def test_pd_augmented_is_hard_and_init_in_both_sets():
     p_hat = augment(p)
     case = classify(p_hat, min_eigpair(p_hat.a))
     assert case.kind == "hard"
-    x0 = psd_init(p_hat)
+    x0 = np.concatenate(([1.0], -p.b))
+    x0 /= np.linalg.norm(x0)
     rep = enumerate_affine_eigenvalues(p_hat)
     for v in rep.min_eigvecs:
         assert (v @ p_hat.b) * (v @ x0) <= 1e-12
@@ -168,7 +156,7 @@ def test_lift_reuses_eigpair(monkeypatch):
 )
 def test_lift_eigpair_basis(lam, has_e1):
     p = diag_problem([lam, 1.0, 2.0], [0.3, 1.0, 0.5])
-    eig = min_eigpair(p.a, tol=1e-10)
+    eig = min_eigpair(p.a, tol=1e-10, b=p.b)
     lifted = trs_mod.lift_eigpair(eig)
     e1 = np.eye(4)[0]
     assert any(np.array_equal(v, e1) for v in lifted.basis) == has_e1
@@ -218,18 +206,19 @@ def test_solve_trs_rejects_non_finite_operator():
 
 def test_boundary_solve_classifies_once():
     p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
-    eig = min_eigpair(p0.a, tol=1e-10)
     p = _counting(p0)
+    eig = min_eigpair(p.a, seed=0, b=p.b)
     lpr_solve(p, eig=eig)
     lpr_calls = p.a.calls[0]
     p = _counting(p0)
-    res = solve_trs(p, "decide", eig=eig)
+    res = solve_trs(p, "decide")
     assert res.route == "direct"
-    # lpr_solve's classification is the only one: no further A applications.
+    # The eigensolve and lpr_solve's classification are the only
+    # applications: solve_trs adds none.
     assert p.a.calls[0] == lpr_calls
     assert res.case_kind == classify(p0, eig).kind == "easy"
 
-    lifted = solve_trs(p0, "always_augment", eig=eig)
+    lifted = solve_trs(p0, "always_augment")
     assert lifted.case_kind == classify(augment(p0), trs_mod.lift_eigpair(eig)).kind
     assert lifted.boundary.case.kind == lifted.case_kind
 
@@ -242,11 +231,8 @@ def test_answers_do_not_depend_on_rng_seed(gap):
     xs = {}
     for seed in (0, 55):
         cfg = SolverConfig(rng_seed=seed)
-        xs[seed] = [lpr_solve(p, cfg=cfg, eig=eig).x] + [
-            solve_trs(p, strategy, cfg, eig=eig).x for strategy in ("decide", "always_augment")
-        ]
-    for x0, x55 in zip(xs[0], xs[55]):
-        assert x0.tobytes() == x55.tobytes()
+        xs[seed] = lpr_solve(p, cfg=cfg, eig=eig).x
+    assert xs[0].tobytes() == xs[55].tobytes()
 
 
 def _pd_problem(gap):
@@ -273,13 +259,13 @@ def test_interior_route_costs_one_application_after_the_eigensolve():
 
 def test_projected_direct_route_costs_one_application_before_lpr_solve():
     p0 = _pd_problem(2.0)
-    eig = min_eigpair(p0.a, b=p0.b)
-    assert eig.lambda_min > 0
     p = _counting(p0)
+    eig = min_eigpair(p.a, seed=0, b=p.b)
+    assert eig.lambda_min > 0
     direct = lpr_solve(p, eig=eig)
     lpr_calls = p.a.calls[0]
     p = _counting(p0)
-    res = solve_trs(p, "decide", eig=eig)
+    res = solve_trs(p, "decide")
     assert res.route == "direct"
     assert p.a.calls[0] == lpr_calls + 1
     assert res.x.tobytes() == direct.x.tobytes()
@@ -287,16 +273,14 @@ def test_projected_direct_route_costs_one_application_before_lpr_solve():
     assert res.q == pytest.approx(q_true, rel=1e-12)
 
 
-@pytest.mark.parametrize("gap", [0.5, 2.0])
-def test_stateless_eig_takes_the_lift(gap):
-    # Without a Krylov state there is no Galerkin solution to test.
-    p = _pd_problem(gap)
-    eig = min_eigpair(p.a)
-    assert eig.krylov is None and eig.lambda_min > 0
-    res = solve_trs(p, "decide", eig=eig)
-    assert res.route == "augmented" and res.boundary.converged
-    _, q_true = trs_optimum(p)
-    assert res.q == pytest.approx(q_true, rel=1e-10)
+def test_failed_galerkin_check_takes_the_lift():
+    # tol_res = 0 leaves the Galerkin check nothing to pass, so "decide"
+    # falls back to the lift, which still reaches -A^{-1}b.
+    p = _pd_problem(0.5)
+    res = solve_trs(p, "decide", SolverConfig(tol_res=0.0, max_iter=5))
+    assert res.route == "augmented"
+    y = np.linalg.solve(p.a.to_dense(), -p.b)
+    assert res.q == pytest.approx(objective(p, y), rel=1e-12)
 
 
 @pytest.mark.parametrize("gap", [0.5, 1e-2])
@@ -312,8 +296,17 @@ def test_lift_eigpair_lifts_the_krylov_state(gap):
 
 
 def test_zero_b_positive_definite_takes_the_lift():
-    # With b = 0 the eigensolve keeps no Krylov state; the lift returns x = 0.
-    p = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    # With b = 0 the eigensolve keeps its Krylov state: "decide" finds the
+    # interior x = 0 with one application after the eigensolve, and the
+    # lift returns x = 0 too.
+    p0 = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    p = _counting(p0)
+    min_eigpair(p.a, b=p.b)
+    eig_calls = p.a.calls[0]
+    p = _counting(p0)
     res = solve_trs(p, "decide")
+    assert res.route == "interior" and p.a.calls[0] == eig_calls + 1
+    assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
+    res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
