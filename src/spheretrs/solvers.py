@@ -81,6 +81,13 @@ class SolverConfig:
 class SolveTrace:
     """Per-iteration scalars plus restart markers.
 
+    One trace spans a whole solve: each descent run of a chain appends its
+    rows, and a marker names the row at which a run begins.  A run writes a
+    point's row once its line search has succeeded, and its last point's
+    row at exit, from a fresh ``A x``.  ``elapsed_s`` is the time since the
+    run began, read when the row is written, so it includes that point's
+    line search.
+
     Columns written by :meth:`to_csv`:
     iter,q,grad_norm,res_norm,step,elapsed_s,marker
     """
@@ -109,16 +116,6 @@ class SolveTrace:
 
     def mark(self, kind: str):
         self.markers.append((len(self.q), kind))
-
-    def extend(self, other: "SolveTrace"):
-        offset = len(self.q)
-        self.q.extend(other.q)
-        self.grad_norm.extend(other.grad_norm)
-        self.res_norm.extend(other.res_norm)
-        self.step.extend(other.step)
-        self.elapsed_s.extend(other.elapsed_s)
-        self.markers.extend((i + offset, k) for i, k in other.markers)
-        self.iterates.extend(other.iterates)
 
     def to_csv(self, path):
         marker_at = dict(self.markers)
@@ -235,6 +232,7 @@ def _descent_loop(
     x0: np.ndarray,
     cfg: SolverConfig,
     use_cg: bool,
+    trace: SolveTrace,
     res_cap: Optional[float] = None,
     capped: bool = False,
 ) -> SolveResult:
@@ -247,40 +245,32 @@ def _descent_loop(
     ``K`` accepted steps.  A stopping test passed on a recurrence value is
     repeated on a fresh ``A x``; if it then fails, the loop continues from
     the steepest-descent direction.  A ``max_iter`` or stalled return is
-    refreshed too, so the result and the final trace row carry a fresh
-    ``mu``, ``q`` and residual.  A ``mu`` or a line search's d'Ad that is
-    not finite (the operator returned a NaN or an infinity) ends the loop
-    with status ``failed`` and reason ``non-finite``.
+    refreshed too.  A ``mu`` or a line search's d'Ad that is not finite (the
+    operator returned a NaN or an infinity) ends the loop with status
+    ``failed`` and reason ``non-finite``.
+
+    Rows go to the caller's ``trace``, which the result carries: one per
+    point, written after its line search succeeds, and the last point's at
+    exit, from its fresh ``A x`` (none when its ``mu`` is not finite).
     """
     eff_tol_res = cfg.tol_res * max(1.0, p.b_norm)
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
     tol_gg = cfg.tol_grad**2
-
-    trace = SolveTrace()
     t_start = time.perf_counter()
 
     def fresh(x):
         return PointState(m, p, x, p.a.apply(x))
 
     def record():
-        trace.record(
-            s.q,
-            np.sqrt(max(s.gg, 0.0)),
-            s.rn,
-            step,
-            time.perf_counter() - t_start,
-            s.x.copy() if cfg.record_iterates else None,
-        )
+        it = s.x.copy() if cfg.record_iterates else None
+        trace.record(s.q, np.sqrt(max(s.gg, 0.0)), s.rn, step, time.perf_counter() - t_start, it)
 
     x = _check_start(x0, p.dim)
     s = fresh(x / np.linalg.norm(x))
-    d = -s.g
-    dg = -s.gg  # g(d, grad)
+    d, dg = -s.g, -s.gg  # dg = g(d, grad)
     stale = 0  # accepted steps since s.ax was last a fresh product
-    status = STATUS_MAX_ITER
-    reason = ""
-    step = 0.0
+    status, reason, step = STATUS_MAX_ITER, "", 0.0
 
     for _ in range(cfg.max_iter):
         done = s.gg <= tol_gg and s.rn <= eff_tol_res
@@ -293,7 +283,6 @@ def _descent_loop(
         if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
             break
-        record()
         if done:
             status = STATUS_CONVERGED
             break
@@ -304,9 +293,9 @@ def _descent_loop(
             status, reason = STATUS_FAILED, "non-finite"
             break
         if t is None:
-            status = STATUS_FAILED
-            reason = "stalled"
+            status, reason = STATUS_FAILED, "stalled"
             break
+        record()
         step = t
 
         old, stale = s, (stale + 1) % K
@@ -329,13 +318,7 @@ def _descent_loop(
         s = fresh(s.x)
         if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
-        elif status == STATUS_FAILED:
-            # The last row holds this same point: restate it from the fresh A x.
-            trace.q[-1] = s.q
-            trace.grad_norm[-1] = np.sqrt(max(s.gg, 0.0))
-            trace.res_norm[-1] = s.rn
-    if status == STATUS_MAX_ITER:
-        # The loop exhausted its budget after taking a step; log the final point.
+    if math.isfinite(s.mu):
         record()
     return SolveResult(x=s.x, mu=s.mu, q=s.q, status=status, trace=trace, reason=reason)
 
@@ -345,7 +328,7 @@ def rcg(
 ) -> SolveResult:
     """Riemannian conjugate gradient (Polak-Ribiere+, projection transport).
     Under :class:`StandardMetric` with b != 0 line searches open at 1/||b||."""
-    return _descent_loop(m, p, x0, cfg, use_cg=True, capped=isinstance(m, StandardMetric))
+    return _descent_loop(m, p, x0, cfg, True, SolveTrace(), capped=isinstance(m, StandardMetric))
 
 
 def rgd(
@@ -353,7 +336,7 @@ def rgd(
 ) -> SolveResult:
     """Riemannian gradient descent under an arbitrary metric scheme.
     Under :class:`StandardMetric` with b != 0 line searches open at 1/||b||."""
-    return _descent_loop(m, p, x0, cfg, use_cg=False, capped=isinstance(m, StandardMetric))
+    return _descent_loop(m, p, x0, cfg, False, SolveTrace(), capped=isinstance(m, StandardMetric))
 
 
 def naive_rgd(
@@ -399,33 +382,33 @@ def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveRes
     ``max_iter`` gets a curvature check (:func:`_escape_start`, about 90
     applications at n=500); at a saddle, ``naive_rgd`` reruns from the
     minimizer on the negative-curvature great circle, marked ``escape``.
+    Every run appends to one trace, which each result carries.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     starts = [-p.b / p.b_norm] if p.b_norm > 0 else []
     starts.append(haar_unit(p.dim, rng))
     results = []
     trace = SolveTrace()
+
+    def run(kind, x):  # naive_rgd, appending to this solve's trace
+        trace.mark(kind)
+        results.append(_descent_loop(StandardMetric(), p, x, cfg, False, trace, capped=True))
+        return results[-1]
+
     for x0 in starts:
-        trace.mark("cold_start")
-        res = naive_rgd(p, x0, cfg)
-        trace.extend(res.trace)
-        results.append(res)
+        res = run("cold_start", x0)
         if res.status != STATUS_MAX_ITER:
             continue
         y = _escape_start(p, res.x, res.mu, cfg.rng_seed)
         if y is not None:
-            trace.mark("escape")
-            res = naive_rgd(p, y, cfg)
-            trace.extend(res.trace)
-            results.append(res)
+            run("escape", y)
 
     ok = [r for r in results if r.status != STATUS_FAILED]
     if not ok:
-        return replace(results[0], trace=trace)
+        return results[0]
     # Ties go to the earliest run: the deterministic S_E start first.
     q_min = min(r.q for r in ok)
-    best = next(r for r in ok if r.q - q_min <= 1e-14 * max(1.0, abs(q_min)))
-    return replace(best, trace=trace)
+    return next(r for r in ok if r.q - q_min <= 1e-14 * max(1.0, abs(q_min)))
 
 
 def lpr_transform(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -454,7 +437,8 @@ def lpr_solve(
     ``GLOBAL_SOLVE_LIMIT`` columns, gives the start s u - b, with u the
     minimal eigenvector of :func:`classify` and s = +-1 making s u'b <= 0:
     a point in S_E and S_H.  Either way, given ``eig`` the answer does not
-    depend on ``cfg.rng_seed``.  ``x0`` is checked before the eigensolve.
+    depend on ``cfg.rng_seed``.  ``x0`` is checked before the eigensolve, and
+    the length of a given ``eig``'s basis vectors before A is applied.
 
     A u with u'b != 0 certifies the easy case; the inner solver then runs
     with its stationarity test tightened to ||r|| <= |u'b|/2, and any return
@@ -472,32 +456,26 @@ def lpr_solve(
         x0 = _check_start(x0, p.dim)
     if eig is None:
         eig = min_eigpair(p.a, seed=cfg.rng_seed, b=p.b)
+    elif any(np.shape(v) != (p.dim,) for v in eig.basis):
+        raise ValueError(f"eig basis vectors must have length {p.dim}")
     case = classify(p, eig)
-    u = case.u
     if x0 is None and eig.krylov is not None and len(eig.krylov[1]) <= GLOBAL_SOLVE_LIMIT:
         q, h = eig.krylov
         x0 = q @ global_solve(BtrsProblem(a=DenseOp(h), b=q.T @ p.b)).x
     elif x0 is None:
-        x0 = (-1.0 if float(u @ p.b) > 0 else 1.0) * u - p.b
+        x0 = (-1.0 if float(case.u @ p.b) > 0 else 1.0) * case.u - p.b
 
     res_cap = case.alpha / 2.0 if case.is_easy else None
-    x = x0
     trace = SolveTrace()
     restarts = 0
     while True:
-        res = _descent_loop(m, p, x, cfg, use_cg, res_cap=res_cap)
-        trace.extend(res.trace)
+        res = _descent_loop(m, p, x0, cfg, use_cg, trace, res_cap=res_cap)
         if not case.is_easy or res.status == STATUS_FAILED or res.mu < eig.lambda_min:
-            return replace(res, trace=trace, restarts=restarts, case=case)
+            break
         restarts += 1
         if restarts > MAX_RESTARTS:
-            return replace(
-                res,
-                status=STATUS_FAILED,
-                trace=trace,
-                restarts=restarts,
-                reason="pathological",
-                case=case,
-            )
+            res.status, res.reason = STATUS_FAILED, "pathological"
+            break
         trace.mark("lpr")
-        x = lpr_transform(res.x, u)
+        x0 = lpr_transform(res.x, case.u)
+    return replace(res, restarts=restarts, case=case)

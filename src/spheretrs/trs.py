@@ -109,7 +109,7 @@ def solve_trs(
     route = "augmented" if strategy == "always_augment" else "direct"
     if route == "direct" and eig.lambda_min > 1e-10:
         q, h = eig.krylov
-        y = -(q @ np.linalg.solve(h, q.T @ p.b))
+        y = -(q @ np.linalg.solve(h, q.T @ p.b)) + 0.0  # b = 0: +0.0, not -0.0
         ay = p.a.apply(y)
         if np.linalg.norm(ay + p.b) <= min(cfg.tol_res, 1e-10) * p.b_norm:
             if np.linalg.norm(y) < 1.0 - 1e-12:

@@ -480,11 +480,15 @@ def test_converged_double_start_makes_no_extra_apply():
     p0, _ = generate(GenSpec(n=60, gap=0.5, seed=1))
     p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
     res = double_start(p)
-    assert [k for _, k in res.trace.markers] == ["cold_start", "cold_start"]
     applies, p.a.applies = p.a.applies, 0
-    for x0 in (-p.b / p.b_norm, haar_unit(60, np.random.default_rng(0))):
-        assert naive_rgd(p, x0).converged
+    starts = (-p.b / p.b_norm, haar_unit(60, np.random.default_rng(0)))
+    r1, r2 = [naive_rgd(p, x0) for x0 in starts]
+    assert r1.converged and r2.converged
     assert applies == p.a.applies
+    # One trace for the solve: the second run's rows follow the first's.
+    rows = len(r1.trace.iters)
+    assert res.trace.markers == [(0, "cold_start"), (rows, "cold_start")]
+    assert len(res.trace.iters) == rows + len(r2.trace.iters)
 
 
 @pytest.mark.parametrize(
@@ -584,6 +588,7 @@ def test_lpr_solve_honours_an_explicit_x0():
         (np.ones((60, 1)), "vector of length 60"),
         (np.r_[np.nan, np.ones(59)], "finite and nonzero"),
         (np.zeros(60), "finite and nonzero"),
+        (None, "eig basis vectors must have length 60"),
     ],
 )
 def test_lpr_solve_checks_x0_before_the_eigensolve(x0, match):
@@ -595,8 +600,10 @@ def test_lpr_solve_checks_x0_before_the_eigensolve(x0, match):
         calls[0] += 1
         return a @ v
 
+    # With no x0 to reject, a given eig of the wrong length is rejected.
+    eig = MinEigResult(-1.0, [np.eye(61)[0]], 1e-10, 1) if x0 is None else None
     with pytest.raises(ValueError, match=match):
-        lpr_solve(BtrsProblem(a=CallbackOp(fn, 60), b=p0.b), x0=x0)
+        lpr_solve(BtrsProblem(a=CallbackOp(fn, 60), b=p0.b), eig=eig, x0=x0)
     assert calls[0] == 0
 
 

@@ -307,6 +307,8 @@ def test_zero_b_positive_definite_takes_the_lift():
     res = solve_trs(p, "decide")
     assert res.route == "interior" and p.a.calls[0] == eig_calls + 1
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
+    assert not np.signbit(res.x).any()  # array_equal takes -0.0 for 0.0
     res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
+    assert not np.signbit(res.x).any()
