@@ -4,10 +4,16 @@ Block Lanczos with full reorthogonalization.  The state is one orthonormal
 n-by-k basis Q and H = Q'AQ.  The next block V orthonormalizes the last
 block's image against Q, and A Q = Q H + V B E' with B = V'A(last block):
 a Ritz pair (theta, Q s) has residual ||B s_last|| (Parlett 1998, ch. 13).
-An iteration costs O(n*k*w) for block width w, O(n*w^2) for B, and a
-partial eigensolve of H.  B misses what ``_orthonormalize`` dropped, at most
-1e-12*max(1, |R|max) per direction, so the test under-reads only where
-1e-12*||A|| nears tol*max(1, |theta|); ``classify`` still raises there.
+H is block tridiagonal, so the stopping test reads H as a band as wide as
+the start block: the lowest Ritz values from LAPACK ``dsbevx``, and only the
+vectors the test needs, by banded inverse iteration (``dgbtrf``,
+``dgbtrs``).  An iteration costs O(n*k*w) for block width w, O(n*w^2) for B
+and O(w*k^2) for the band's values, against O(k^3) for a dense eigensolve
+of H; the returned pairs come from one dense eigensolve of H, at return.
+B misses what ``_orthonormalize`` dropped, at most 1e-12*max(1, |R|max) per
+direction, so the test under-reads only where 1e-12*||A|| nears
+tol*max(1, |theta|); ``classify`` still raises there.  The band leaves out
+H's entries beyond it, roundoff of no more than that size.
 
 A solve given a vector b returns its Krylov state: the same space
 approximates the solution of the sphere problem with that b (Gould, Lucidi,
@@ -21,13 +27,24 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .linop import SymOp, require_finite, require_int
+
+# dsbevx's bisection tolerance: twice the underflow threshold, at which
+# LAPACK computes each eigenvalue most accurately.
+_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _cluster_tol(lam: float, tol: float) -> float:
     """:attr:`MinEigResult.cluster_tol` of a smallest Ritz value ``lam``."""
     return 10.0 * tol * max(1.0, abs(lam))
+
+
+def _cluster_size(theta: np.ndarray, tol: float) -> int:
+    """How many of the ascending Ritz values ``theta`` lie within the
+    cluster of ``theta[0]``."""
+    return int(np.count_nonzero(theta - theta[0] <= _cluster_tol(theta[0], tol)))
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,57 @@ def _lowest_ritz(h: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndar
         if theta[-1] - theta[0] > _cluster_tol(theta[0], tol):
             return theta, s
     return np.linalg.eigh(h)
+
+
+def _band_ritz(hb: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_lowest_ritz` of the symmetric band matrix whose lower band is
+    ``hb`` (``hb[d, j] = h[j + d, j]``), returning only the vectors the
+    residual test reads: the ``m`` lowest values, from ``dsbevx`` without
+    vectors, and the vectors of the cluster of ``theta[0]`` and of the first
+    value above it.  When those ``m`` lie within the cluster, or ``m >= k``,
+    every pair, as :func:`_lowest_ritz` returns."""
+    k = hb.shape[1]
+    if m < k:
+        theta = lapack.dsbevx(
+            hb, 0.0, 0.0, 1, m, compute_v=0, range=2, lower=1, abstol=_ABSTOL, overwrite_ab=0
+        )[0][:m]
+        if theta[-1] - theta[0] > _cluster_tol(theta[0], tol):
+            return theta, _band_vectors(hb, theta[: _cluster_size(theta, tol) + 1])
+    return scipy.linalg.eig_banded(hb, lower=True, check_finite=False)
+
+
+def _band_vectors(hb: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the band matrix ``hb`` of :func:`_band_ritz`, one
+    column per value of ``theta`` (ascending eigenvalues), by two steps of
+    inverse iteration from fixed random starts.  After each step a vector is
+    orthogonalized against those before it, which keeps a cluster's vectors
+    apart.  Each shift is an eigenvalue, so its factor is near singular by
+    design: with the band scaled to max|h| = 1, a pivot below eps is raised
+    to eps, as ``dstein`` does."""
+    kd, k = hb.shape[0] - 1, hb.shape[1]
+    # h in the general band layout of dgbtrf: h[i, j] at gb[2 kd + i - j, j],
+    # below kd rows of room for the fill-in of its row pivoting.
+    gb = np.zeros((3 * kd + 1, k))
+    for d in range(kd + 1):
+        gb[2 * kd + d, : k - d] = gb[2 * kd - d, d:] = hb[d, : k - d]
+    scale = np.abs(gb).max()  # > 0, since theta holds distinct values
+    gb /= scale
+    eps = np.finfo(float).eps
+    s = np.random.default_rng(0).standard_normal((k, len(theta)))
+    for j, t in enumerate(theta):
+        g = gb.copy()
+        g[2 * kd] -= t / scale
+        lu, piv, _ = lapack.dgbtrf(g, kd, kd, overwrite_ab=1)
+        u = lu[2 * kd]  # the diagonal of U
+        small = np.abs(u) < eps
+        u[small] = np.copysign(eps, u[small])
+        x = s[:, j : j + 1]
+        for _ in range(2):
+            x = lapack.dgbtrs(lu, kd, kd, x, piv)[0]
+            x -= s[:, :j] @ (s[:, :j].T @ x)
+            x /= np.linalg.norm(x)
+        s[:, j] = x[:, 0]
+    return s
 
 
 def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -128,8 +196,13 @@ def min_eigpair(
     if b is not None and b.any():
         start[:, 0] = b / np.linalg.norm(b)
     v = _orthonormalize(start, None)
-    # q holds the k basis columns in use; h = q' A q.
+    # q holds the k basis columns in use; h = q' A q, and hb holds the lower
+    # band of h that the Ritz step reads (hb[d, j] = h[j + d, j]).  With full
+    # reorthogonalization h is block tridiagonal, so its band is ``block``
+    # wide: the block width only shrinks.  hb[d, j] with j + d >= k is not
+    # written yet, and nothing reads it.
     q = h = np.empty((0, 0))
+    hb = np.empty((block + 1, 0))
     k = iterations = 0
     while True:
         iterations += 1
@@ -140,7 +213,7 @@ def min_eigpair(
         w = v.shape[1]
         if k + w > q.shape[1]:
             cap = min(n, max(2 * q.shape[1], k + w))
-            q, h = _widen(q, n, cap), _widen(h, cap, cap)
+            q, h, hb = _widen(q, n, cap), _widen(h, cap, cap), _widen(hb, block + 1, cap)
         q[:, k : k + w] = v
         # Only the new block's column of the projection is computed; the
         # new diagonal block is symmetrized to wash out roundoff.
@@ -148,13 +221,17 @@ def min_eigpair(
         h[:k, k : k + w] = c[:k]
         h[k : k + w, :k] = c[:k].T
         h[k : k + w, k : k + w] = 0.5 * (c[k:] + c[k:].T)
+        rows = h[k : k + w, : k + w]
+        for d in range(block + 1):
+            diag = rows.diagonal(k - d)
+            hb[d, max(k - d, 0) :][: diag.size] = diag
         k += w
 
-        theta, s = _lowest_ritz(h[:k, :k], min(k, 2 * block), tol)
+        theta, s = _band_ritz(hb[:, :k], min(k, 2 * block), tol)
         # At most n - k columns are orthogonal to q; past that the rank rule
         # keeps only roundoff (seen at ||A|| >= 1e20).
         v = _orthonormalize(av, q[:, :k])[:, : n - k]
-        edge = int(np.count_nonzero(theta - theta[0] <= _cluster_tol(theta[0], tol)))
+        edge = _cluster_size(theta, tol)
         # Every cluster vector must be converged, and so must the smallest
         # Ritz value outside the cluster: otherwise an unresolved copy of
         # lambda_min could still be hiding above it.  B = v' av.
@@ -162,6 +239,10 @@ def min_eigpair(
         if np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))):
             break
 
+    # The band's pairs only decide when to stop; the returned ones come from
+    # one dense eigensolve of the whole of h.
+    theta, s = _lowest_ritz(h[:k, :k], min(k, 2 * block), tol)
+    edge = _cluster_size(theta, tol)
     basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]
     krylov = None if b is None else (q[:, :k], h[:k, :k])
     return MinEigResult(float(theta[0]), basis, tol, iterations, krylov)

@@ -85,8 +85,9 @@ class SolveTrace:
     rows, and a marker names the row at which a run begins.  A run writes a
     point's row once its line search has succeeded, and its last point's
     row at exit, from a fresh ``A x``.  ``elapsed_s`` is the time since the
-    run began, read when the row is written, so it includes that point's
-    line search.
+    solve began (``t_start``, when the solve made its trace), read when the
+    row is written, so it includes that point's line search and never
+    decreases across markers.
 
     Columns written by :meth:`to_csv`:
     iter,q,grad_norm,res_norm,step,elapsed_s,marker
@@ -99,6 +100,7 @@ class SolveTrace:
     elapsed_s: List[float] = field(default_factory=list)
     markers: List[Tuple[int, str]] = field(default_factory=list)
     iterates: List[np.ndarray] = field(default_factory=list)
+    t_start: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
     @property
     def iters(self) -> range:
@@ -257,14 +259,14 @@ def _descent_loop(
     if res_cap is not None:
         eff_tol_res = min(eff_tol_res, res_cap)
     tol_gg = cfg.tol_grad**2
-    t_start = time.perf_counter()
 
     def fresh(x):
         return PointState(m, p, x, p.a.apply(x))
 
     def record():
         it = s.x.copy() if cfg.record_iterates else None
-        trace.record(s.q, np.sqrt(max(s.gg, 0.0)), s.rn, step, time.perf_counter() - t_start, it)
+        el = time.perf_counter() - trace.t_start
+        trace.record(s.q, np.sqrt(max(s.gg, 0.0)), s.rn, step, el, it)
 
     x = _check_start(x0, p.dim)
     s = fresh(x / np.linalg.norm(x))
@@ -452,6 +454,7 @@ def lpr_solve(
     if inner not in ("rgd", "rcg"):
         raise ValueError("inner solver must be 'rgd' or 'rcg'")
     use_cg = inner == "rcg"
+    trace = SolveTrace()  # elapsed_s counts the eigensolve and the start too
     if x0 is not None:
         x0 = _check_start(x0, p.dim)
     if eig is None:
@@ -466,7 +469,6 @@ def lpr_solve(
         x0 = (-1.0 if float(case.u @ p.b) > 0 else 1.0) * case.u - p.b
 
     res_cap = case.alpha / 2.0 if case.is_easy else None
-    trace = SolveTrace()
     restarts = 0
     while True:
         res = _descent_loop(m, p, x0, cfg, use_cg, trace, res_cap=res_cap)

@@ -12,7 +12,13 @@ from spheretrs import (
     generate,
     min_eigpair,
 )
-from spheretrs.eigmin import MinEigResult, _lowest_ritz
+from spheretrs.eigmin import (
+    MinEigResult,
+    _band_ritz,
+    _cluster_size,
+    _cluster_tol,
+    _lowest_ritz,
+)
 
 
 def test_multiplicity_two_basis():
@@ -190,6 +196,111 @@ def test_lowest_ritz_takes_the_full_decomposition_inside_a_cluster():
         assert len(theta) == count
         assert np.allclose(theta, np.linalg.eigh(h)[0][:count], atol=1e-12)
         assert np.allclose(h @ s, s * theta, atol=1e-12)
+
+
+def _krylov_band(spectrum, width, seed=0):
+    """Lower band (``hb[d, j] = h[j + d, j]``) of ``h = Q' diag(spectrum) Q``
+    for the orthonormal block Krylov basis Q of a random start ``width``
+    wide, run to the whole space: h is block tridiagonal, so its band holds
+    it to roundoff, and it keeps the spectrum."""
+    n = len(spectrum)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
+    while q.shape[1] < n:
+        w = spectrum[:, None] * q[:, -width:]
+        for _ in range(2):
+            w -= q @ (q.T @ w)
+        q = np.column_stack([q, np.linalg.qr(w)[0]])
+    h = q.T @ (spectrum[:, None] * q)
+    return np.array([np.r_[np.diagonal(h, -d), np.zeros(d)] for d in range(width + 1)])
+
+
+def _from_band(hb):
+    h = sum(np.diag(hb[d, : hb.shape[1] - d], -d) for d in range(len(hb)))
+    return h + np.tril(h, -1).T
+
+
+_TOL = 1e-10
+_SPLIT = 2 * _cluster_tol(1.0, _TOL)  # just too far apart to share a cluster
+
+
+@pytest.mark.parametrize(
+    "spectrum, width, m, count",
+    [
+        # count: the cluster and the first value above it, which the
+        # residual test reads, or every pair.
+        (np.arange(1.0, 41.0), 2, 4, 2),
+        (np.arange(1.0, 41.0), 1, 4, 2),  # a block that shrank to one column
+        (np.r_[1.0, 1.0, np.arange(2.0, 40.0)], 2, 4, 3),  # 2-fold bottom cluster
+        (np.r_[1.0, 1.0 + _SPLIT, np.arange(2.0, 40.0)], 2, 4, 2),
+        (np.r_[1.0, 2.0, 2.0 + _SPLIT, np.arange(3.0, 40.0)], 2, 4, 2),
+        (np.arange(1.0, 5.0), 2, 4, 4),  # m >= k: every pair
+        (np.arange(1.0, 4.0), 1, 4, 3),
+    ],
+)
+def test_band_ritz_matches_dense_eigh(spectrum, width, m, count):
+    hb = _krylov_band(spectrum, width)
+    h = _from_band(hb)
+    scale = np.abs(h).max()
+    theta, s = _band_ritz(hb, m, _TOL)
+    assert s.shape == (len(h), count)
+    assert np.abs(theta - np.linalg.eigvalsh(h)[: len(theta)]).max() <= 1e-12 * scale
+    assert np.abs(h @ s - s * theta[:count]).max() <= 1e-12 * scale
+    assert np.abs(s.T @ s - np.eye(count)).max() <= 1e-12
+
+
+def test_band_ritz_of_a_diagonal_band():
+    # Each shift is a diagonal entry exactly, so its factor has an exact
+    # zero pivot, which inverse iteration must step over.
+    d = np.arange(1.0, 9.0)
+    theta, s = _band_ritz(np.vstack([d, np.zeros((2, 8))]), 4, _TOL)
+    assert np.array_equal(theta, d[:4])
+    assert np.allclose(np.abs(s), np.eye(8, 2), rtol=0.0, atol=1e-12)
+
+
+def test_band_ritz_takes_every_pair_inside_a_cluster():
+    # Two copies of a 2-fold bottom cluster, side by side, make a 4-fold
+    # cluster in a band of width 2, so the m = 4 lowest values all lie in it.
+    # _krylov_band pads each band with zeros, so nothing couples the two.
+    spectrum = np.r_[1.0, 1.0, np.arange(2.0, 12.0)]
+    hb = np.hstack([_krylov_band(spectrum, 2), _krylov_band(spectrum, 2, seed=1)])
+    h = _from_band(hb)
+    theta, s = _band_ritz(hb, 4, _TOL)
+    assert len(theta) == s.shape[1] == len(h) and _cluster_size(theta, _TOL) == 4
+    assert np.abs(h @ s - s * theta).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_returned_pairs_are_the_dense_ones():
+    # The band decides when to stop; what is returned comes from the dense
+    # Ritz step of the final H.
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    res = min_eigpair(p.a, b=p.b)
+    q, h = res.krylov
+    theta, s = _lowest_ritz(h, 4, res.tol_eig)
+    assert res.lambda_min == theta[0]
+    assert res.basis[0].tobytes() == (q @ s[:, 0] / np.linalg.norm(q @ s[:, 0])).tobytes()
+
+
+@pytest.mark.parametrize(
+    "gap, kw", [(2.0, {}), (1e-2, {}), (1e-8, {}), (0.0, {}), (0.5, _PD), (2.0, _PD)]
+)
+def test_band_stops_where_the_dense_rule_stops(gap, kw):
+    # The dense stopping test at every prefix of the Krylov space: theta and
+    # s from _lowest_ritz of H's leading j-by-j block, B = H's subdiagonal
+    # block below it.  A tighter tol runs the same iterations further, so
+    # its H holds the B of the returned k too.
+    p, _ = generate(GenSpec(n=500, gap=gap, seed=1, **kw))
+    hk = min_eigpair(p.a, b=p.b).krylov[1]
+    h = min_eigpair(p.a, b=p.b, tol=1e-12).krylov[1]
+    k = len(hk)
+    assert len(h) > k and np.array_equal(h[:k, :k], hk)
+
+    def passes(j):
+        theta, s = _lowest_ritz(h[:j, :j], min(j, 4), _TOL)
+        edge = _cluster_size(theta, _TOL)
+        res = np.linalg.norm(h[j : j + 2, j - 2 : j] @ s[j - 2 : j, : edge + 1], axis=0)
+        return np.all(res <= _TOL * np.maximum(1.0, np.abs(theta[: edge + 1])))
+
+    assert next(j for j in range(2, len(h), 2) if passes(j)) == k
 
 
 @pytest.mark.parametrize("b", [None, np.zeros(40)])

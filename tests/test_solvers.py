@@ -491,6 +491,16 @@ def test_converged_double_start_makes_no_extra_apply():
     assert len(res.trace.iters) == rows + len(r2.trace.iters)
 
 
+def test_elapsed_s_runs_on_across_markers():
+    # elapsed_s is the time since the solve began, so it does not restart
+    # at the second run's cold_start marker.
+    p, _ = generate(GenSpec(n=60, gap=0.5, seed=1))
+    trace = double_start(p).trace
+    assert len(trace.markers) == 2
+    assert np.all(np.diff(trace.elapsed_s) >= 0.0)
+    assert trace.elapsed_s[0] > 0.0
+
+
 @pytest.mark.parametrize(
     "x0",
     [np.zeros(3), np.full(3, np.nan), np.full(3, np.inf), np.ones(4), np.ones((3, 1))],
