@@ -5,11 +5,12 @@ n-by-k basis Q and H = Q'AQ.  The next block V orthonormalizes the last
 block's image against Q, and A Q = Q H + V B E' with B = V'A(last block):
 a Ritz pair (theta, Q s) has residual ||B s_last|| (Parlett 1998, ch. 13).
 H is block tridiagonal, so the stopping test reads H as a band as wide as
-the start block: the lowest Ritz values from LAPACK ``dsbevx``, and only the
-vectors the test needs, by banded inverse iteration (``dgbtrf``,
-``dgbtrs``).  An iteration costs O(n*k*w) for block width w, O(n*w^2) for B
-and O(w*k^2) for the band's values, against O(k^3) for a dense eigensolve
-of H; the returned pairs come from one dense eigensolve of H, at return.
+the start block: the lowest Ritz values from LAPACK ``dsbevx`` (through
+``scipy.linalg.eig_banded``), and only the vectors the test needs, by
+banded inverse iteration (``dgbtrf``, ``dgbtrs``).  An iteration costs
+O(n*k*w) for block width w, O(n*w^2) for B and O(w*k^2) for the band's
+values, against O(k^3) for a dense eigensolve of H; the returned pairs
+come from one dense eigensolve of H, at return.
 B misses what ``_orthonormalize`` dropped, at most 1e-12*max(1, |R|max) per
 direction, so the test under-reads only where 1e-12*||A|| nears
 tol*max(1, |theta|); ``classify`` still raises there.  The band leaves out
@@ -30,10 +31,6 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .linop import SymOp, require_finite, require_int
-
-# dsbevx's bisection tolerance: twice the underflow threshold, at which
-# LAPACK computes each eigenvalue most accurately.
-_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _cluster_tol(lam: float, tol: float) -> float:
@@ -99,15 +96,26 @@ def _band_ritz(hb: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarr
     residual test reads: the ``m`` lowest values, from ``dsbevx`` without
     vectors, and the vectors of the cluster of ``theta[0]`` and of the first
     value above it.  When those ``m`` lie within the cluster, or ``m >= k``,
-    every pair, as :func:`_lowest_ritz` returns."""
-    k = hb.shape[1]
+    every pair, as :func:`_lowest_ritz` returns.  The corner ``hb[d, j]``
+    with ``j + d >= k`` lies outside h; it may hold anything, NaN included."""
+    kd, k = hb.shape[0] - 1, hb.shape[1]
     if m < k:
-        theta = lapack.dsbevx(
-            hb, 0.0, 0.0, 1, m, compute_v=0, range=2, lower=1, abstol=_ABSTOL, overwrite_ab=0
-        )[0][:m]
+        theta = scipy.linalg.eig_banded(
+            hb,
+            lower=True,
+            eigvals_only=True,
+            select="i",
+            select_range=(0, m - 1),
+            check_finite=False,
+        )
         if theta[-1] - theta[0] > _cluster_tol(theta[0], tol):
             return theta, _band_vectors(hb, theta[: _cluster_size(theta, tol) + 1])
-    return scipy.linalg.eig_banded(hb, lower=True, check_finite=False)
+    # Asked for vectors, eig_banded scans its input for NaNs whatever
+    # check_finite says, so the corner is cleared in a copy first.
+    hb = hb.copy(order="F")
+    for d in range(1, kd + 1):
+        hb[d, max(k - d, 0) :] = 0.0
+    return scipy.linalg.eig_banded(hb, lower=True, overwrite_a_band=True, check_finite=False)
 
 
 def _band_vectors(hb: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -200,7 +208,7 @@ def min_eigpair(
     # band of h that the Ritz step reads (hb[d, j] = h[j + d, j]).  With full
     # reorthogonalization h is block tridiagonal, so its band is ``block``
     # wide: the block width only shrinks.  hb[d, j] with j + d >= k is not
-    # written yet, and nothing reads it.
+    # written yet (np.empty), and _band_ritz ignores it.
     q = h = np.empty((0, 0))
     hb = np.empty((block + 1, 0))
     k = iterations = 0

@@ -100,7 +100,9 @@ class SolveTrace:
     elapsed_s: List[float] = field(default_factory=list)
     markers: List[Tuple[int, str]] = field(default_factory=list)
     iterates: List[np.ndarray] = field(default_factory=list)
-    t_start: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+    t_start: float = field(
+        init=False, default_factory=time.perf_counter, repr=False, compare=False
+    )
 
     @property
     def iters(self) -> range:

@@ -269,6 +269,29 @@ def test_band_ritz_takes_every_pair_inside_a_cluster():
     assert np.abs(h @ s - s * theta).max() <= 1e-12 * np.abs(h).max()
 
 
+@pytest.mark.parametrize(
+    "spectrum, m",
+    [
+        (np.arange(1.0, 4.0), 4),  # m >= k
+        (np.r_[np.ones(4), np.arange(2.0, 10.0)], 4),  # the cluster fills all m
+        (np.arange(1.0, 13.0), 4),
+    ],
+)
+def test_band_ritz_ignores_the_corner_outside_h(spectrum, m):
+    # min_eigpair widens its band with np.empty, so the slots past h's last
+    # row hold whatever the heap held: a NaN there must change nothing.
+    hb = _krylov_band(spectrum, 2)
+    h = _from_band(hb)
+    k = hb.shape[1]
+    theta, s = _band_ritz(hb, m, _TOL)
+    dirty = np.asfortranarray(hb)
+    dirty[1, k - 1] = dirty[2, k - 2] = dirty[2, k - 1] = np.nan
+    theta_d, s_d = _band_ritz(dirty, m, _TOL)
+    assert np.isnan(dirty[2, k - 1])  # the caller's band is left as it was
+    assert np.array_equal(theta, theta_d) and np.array_equal(s, s_d)
+    assert np.abs(h @ s - s * theta[: s.shape[1]]).max() <= 1e-12 * np.abs(h).max()
+
+
 def test_returned_pairs_are_the_dense_ones():
     # The band decides when to stop; what is returned comes from the dense
     # Ritz step of the final H.

@@ -14,6 +14,7 @@ from spheretrs import (
     Preconditioner,
     SeededMetric,
     SolverConfig,
+    SolveTrace,
     StandardMetric,
     build_eig_seed,
     classify,
@@ -499,6 +500,9 @@ def test_elapsed_s_runs_on_across_markers():
     assert len(trace.markers) == 2
     assert np.all(np.diff(trace.elapsed_s) >= 0.0)
     assert trace.elapsed_s[0] > 0.0
+    # The start is the trace's own, set when it is made.
+    with pytest.raises(TypeError):
+        SolveTrace(t_start=0.0)
 
 
 @pytest.mark.parametrize(
