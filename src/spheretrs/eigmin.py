@@ -65,15 +65,9 @@ class MinEigResult:
         return _cluster_tol(self.lambda_min, self.tol_eig)
 
 
-def _orthonormalize(block: np.ndarray, against: np.ndarray | None) -> np.ndarray:
-    """Orthogonalize columns of ``block`` against ``against`` and each other.
-
-    Two rounds of classical Gram-Schmidt followed by a QR; rank-deficient
-    columns are dropped.
-    """
-    for _ in range(2):
-        if against is not None and against.shape[1] > 0:
-            block = block - against @ (against.T @ block)
+def _orthonormalize(block: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the columns of ``block``, by QR.  A column
+    whose diagonal entry of R is at most 1e-12*max(1, |R|max) is dropped."""
     q, r = np.linalg.qr(block)
     keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
     return q[:, keep]
@@ -203,7 +197,7 @@ def min_eigpair(
     start = rng.standard_normal((n, block))
     if b is not None and b.any():
         start[:, 0] = b / np.linalg.norm(b)
-    v = _orthonormalize(start, None)
+    v = _orthonormalize(start)
     # q holds the k basis columns in use; h = q' A q, and hb holds the lower
     # band of h that the Ritz step reads (hb[d, j] = h[j + d, j]).  With full
     # reorthogonalization h is block tridiagonal, so its band is ``block``
@@ -236,9 +230,12 @@ def min_eigpair(
         k += w
 
         theta, s = _band_ritz(hb[:, :k], min(k, 2 * block), tol)
-        # At most n - k columns are orthogonal to q; past that the rank rule
-        # keeps only roundoff (seen at ||A|| >= 1e20).
-        v = _orthonormalize(av, q[:, :k])[:, : n - k]
+        # Two rounds of classical Gram-Schmidt against q, the first reusing
+        # c = q' av.  At most n - k columns are orthogonal to q; past that
+        # the rank rule keeps only roundoff (seen at ||A|| >= 1e20).
+        r = av - q[:, :k] @ c
+        r = r - q[:, :k] @ (q[:, :k].T @ r)
+        v = _orthonormalize(r)[:, : n - k]
         edge = _cluster_size(theta, tol)
         # Every cluster vector must be converged, and so must the smallest
         # Ritz value outside the cluster: otherwise an unresolved copy of

@@ -121,7 +121,7 @@ def build_eig_seed(
     rng = np.random.default_rng(seed)
 
     omega = rng.standard_normal((n, rank + oversample))
-    q = _orthonormalize(a.apply_block(omega), None)
+    q = _orthonormalize(a.apply_block(omega))
     if q.shape[1] < rank:
         # A redraw cannot help: the deficiency comes from A's spectrum.
         raise ValueError("sketch is rank deficient; matrix rank below request")
