@@ -1,16 +1,17 @@
 """Matrix-free minimal eigenpair computation.
 
 Block Lanczos with full reorthogonalization.  The state is one orthonormal
-n-by-k basis Q and H = Q'AQ.  The next block V orthonormalizes the last
-block's image against Q, and A Q = Q H + V B E' with B = V'A(last block):
-a Ritz pair (theta, Q s) has residual ||B s_last|| (Parlett 1998, ch. 13).
-H is block tridiagonal, so the stopping test reads H as a band as wide as
-the start block: the lowest Ritz values from LAPACK ``dsbevx`` (through
-``scipy.linalg.eig_banded``), and only the vectors the test needs, by
-banded inverse iteration (``dgbtrf``, ``dgbtrs``).  An iteration costs
-O(n*k*w) for block width w, O(n*w^2) for B and O(w*k^2) for the band's
-values, against O(k^3) for a dense eigensolve of H; the returned pairs
-come from one dense eigensolve of H, at return.
+n-by-k basis Q and the band of H = Q'AQ.  The next block V orthonormalizes
+the last block's image against Q, and A Q = Q H + V B E' with
+B = V'A(last block): a Ritz pair (theta, Q s) has residual ||B s_last||
+(Parlett 1998, ch. 13).  H is block tridiagonal, so it is kept as a band as
+wide as the start block.  The Ritz step reads the band: the lowest Ritz
+values from LAPACK ``dsbevx`` (through ``scipy.linalg.eig_banded``), and
+only the vectors the stopping test needs, by banded inverse iteration
+(``dgbtrf``, ``dgbtrs``).  The pairs that pass the test are the ones
+returned.  An iteration costs O(n*k*w) for block width w, O(n*w^2) for B
+and O(w*k^2) for the band's values, against O(k^3) for a dense eigensolve
+of H.
 B misses what ``_orthonormalize`` dropped, at most 1e-12*max(1, |R|max) per
 direction, so the test under-reads only where 1e-12*||A|| nears
 tol*max(1, |theta|); ``classify`` still raises there.  The band leaves out
@@ -51,7 +52,8 @@ class MinEigResult:
     tol_eig: float
     iterations: int
     #: The Krylov state ``(Q, H)`` of a solve given b: the orthonormal
-    #: n-by-k basis Q and the projection H = Q'AQ; None without b.
+    #: n-by-k basis Q and the projection H = Q'AQ, block tridiagonal and
+    #: exactly zero beyond its band; None without b.
     krylov: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
@@ -73,25 +75,15 @@ def _orthonormalize(block: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _lowest_ritz(h: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``m`` lowest eigenpairs ``(theta, s)`` of the symmetric ``h``, or
-    all of them when those ``m`` lie within the cluster of ``theta[0]``: the
-    cluster-edge test needs the first Ritz value above the cluster."""
-    if m < len(h):
-        theta, s = scipy.linalg.eigh(h, subset_by_index=[0, m - 1], check_finite=False)
-        if theta[-1] - theta[0] > _cluster_tol(theta[0], tol):
-            return theta, s
-    return np.linalg.eigh(h)
-
-
 def _band_ritz(hb: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_lowest_ritz` of the symmetric band matrix whose lower band is
-    ``hb`` (``hb[d, j] = h[j + d, j]``), returning only the vectors the
-    residual test reads: the ``m`` lowest values, from ``dsbevx`` without
-    vectors, and the vectors of the cluster of ``theta[0]`` and of the first
-    value above it.  When those ``m`` lie within the cluster, or ``m >= k``,
-    every pair, as :func:`_lowest_ritz` returns.  The corner ``hb[d, j]``
-    with ``j + d >= k`` lies outside h; it may hold anything, NaN included."""
+    """Ritz pairs ``(theta, s)`` of the symmetric band matrix h whose lower
+    band is ``hb`` (``hb[d, j] = h[j + d, j]``): the ``m`` lowest values,
+    from ``dsbevx`` without vectors, and the vectors of the cluster of
+    ``theta[0]`` and of the first value above it, which the residual test
+    reads.  When those ``m`` lie within the cluster, or ``m >= k``, every
+    pair: the cluster-edge test needs the first value above the cluster.
+    The corner ``hb[d, j]`` with ``j + d >= k`` lies outside h; it may hold
+    anything, NaN included."""
     kd, k = hb.shape[0] - 1, hb.shape[1]
     if m < k:
         theta = scipy.linalg.eig_banded(
@@ -146,6 +138,17 @@ def _band_vectors(hb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return s
 
 
+def _from_band(hb: np.ndarray) -> np.ndarray:
+    """The symmetric h of :func:`_band_ritz`'s band ``hb`` as a dense
+    array, exactly zero beyond the band; the corner is not read."""
+    k = hb.shape[1]
+    h = np.zeros((k, k))
+    for d in range(hb.shape[0]):
+        j = np.arange(k - d)
+        h[j + d, j] = h[j, j + d] = hb[d, : k - d]
+    return h
+
+
 def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """``x`` copied into the leading corner of a Fortran-order rows-by-cols
     array."""
@@ -198,12 +201,12 @@ def min_eigpair(
     if b is not None and b.any():
         start[:, 0] = b / np.linalg.norm(b)
     v = _orthonormalize(start)
-    # q holds the k basis columns in use; h = q' A q, and hb holds the lower
-    # band of h that the Ritz step reads (hb[d, j] = h[j + d, j]).  With full
-    # reorthogonalization h is block tridiagonal, so its band is ``block``
-    # wide: the block width only shrinks.  hb[d, j] with j + d >= k is not
-    # written yet (np.empty), and _band_ritz ignores it.
-    q = h = np.empty((0, 0))
+    # q holds the k basis columns in use, and hb the lower band of
+    # h = q' A q (hb[d, j] = h[j + d, j]).  With full reorthogonalization h
+    # is block tridiagonal, so its band is ``block`` wide: the block width
+    # only shrinks.  hb[d, j] with j + d >= k is not written yet (np.empty),
+    # and _band_ritz and _from_band ignore it.
+    q = np.empty((n, 0))
     hb = np.empty((block + 1, 0))
     k = iterations = 0
     while True:
@@ -215,17 +218,15 @@ def min_eigpair(
         w = v.shape[1]
         if k + w > q.shape[1]:
             cap = min(n, max(2 * q.shape[1], k + w))
-            q, h, hb = _widen(q, n, cap), _widen(h, cap, cap), _widen(hb, block + 1, cap)
+            q, hb = _widen(q, n, cap), _widen(hb, block + 1, cap)
         q[:, k : k + w] = v
-        # Only the new block's column of the projection is computed; the
-        # new diagonal block is symmetrized to wash out roundoff.
+        # Only the new block's column of h is computed, and its band entries
+        # are copied from it; the new diagonal block is symmetrized to wash
+        # out roundoff.
         c = q[:, : k + w].T @ av
-        h[:k, k : k + w] = c[:k]
-        h[k : k + w, :k] = c[:k].T
-        h[k : k + w, k : k + w] = 0.5 * (c[k:] + c[k:].T)
-        rows = h[k : k + w, : k + w]
+        col = np.vstack([c[:k], 0.5 * (c[k:] + c[k:].T)])  # h[:k+w, k:k+w]
         for d in range(block + 1):
-            diag = rows.diagonal(k - d)
+            diag = col.diagonal(d - k)  # h[j, j + d] = h[j + d, j]
             hb[d, max(k - d, 0) :][: diag.size] = diag
         k += w
 
@@ -244,10 +245,6 @@ def min_eigpair(
         if np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))):
             break
 
-    # The band's pairs only decide when to stop; the returned ones come from
-    # one dense eigensolve of the whole of h.
-    theta, s = _lowest_ritz(h[:k, :k], min(k, 2 * block), tol)
-    edge = _cluster_size(theta, tol)
     basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]
-    krylov = None if b is None else (q[:, :k], h[:k, :k])
+    krylov = None if b is None else (q[:, :k], _from_band(hb[:, :k]))
     return MinEigResult(float(theta[0]), basis, tol, iterations, krylov)

@@ -17,7 +17,7 @@ from spheretrs.eigmin import (
     _band_ritz,
     _cluster_size,
     _cluster_tol,
-    _lowest_ritz,
+    _from_band,
 )
 
 
@@ -183,19 +183,10 @@ def test_bench_grid_parity(gap, kw, kind):
     assert classify(p, res).kind == kind
 
 
-def test_lowest_ritz_takes_the_full_decomposition_inside_a_cluster():
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-    for spectrum, count in (
-        (np.r_[np.ones(5), np.arange(2.0, 9.0)], 12),  # 5-fold lowest cluster
-        (np.arange(1.0, 13.0), 4),
-    ):
-        h = q @ np.diag(spectrum) @ q.T
-        h = 0.5 * (h + h.T)
-        theta, s = _lowest_ritz(h, 4, 1e-10)
-        assert len(theta) == count
-        assert np.allclose(theta, np.linalg.eigh(h)[0][:count], atol=1e-12)
-        assert np.allclose(h @ s, s * theta, atol=1e-12)
+def _band(h, width):
+    """The lower band (``hb[d, j] = h[j + d, j]``) of ``h``, ``width`` wide,
+    with zeros in the corner outside ``h``."""
+    return np.array([np.r_[np.diagonal(h, -d), np.zeros(d)] for d in range(width + 1)])
 
 
 def _krylov_band(spectrum, width, seed=0):
@@ -210,13 +201,7 @@ def _krylov_band(spectrum, width, seed=0):
         for _ in range(2):
             w -= q @ (q.T @ w)
         q = np.column_stack([q, np.linalg.qr(w)[0]])
-    h = q.T @ (spectrum[:, None] * q)
-    return np.array([np.r_[np.diagonal(h, -d), np.zeros(d)] for d in range(width + 1)])
-
-
-def _from_band(hb):
-    h = sum(np.diag(hb[d, : hb.shape[1] - d], -d) for d in range(len(hb)))
-    return h + np.tril(h, -1).T
+    return _band(q.T @ (spectrum[:, None] * q), width)
 
 
 _TOL = 1e-10
@@ -279,7 +264,8 @@ def test_band_ritz_takes_every_pair_inside_a_cluster():
 )
 def test_band_ritz_ignores_the_corner_outside_h(spectrum, m):
     # min_eigpair widens its band with np.empty, so the slots past h's last
-    # row hold whatever the heap held: a NaN there must change nothing.
+    # row hold whatever the heap held: a NaN there must change nothing,
+    # neither in the Ritz pairs nor in the dense H that _from_band returns.
     hb = _krylov_band(spectrum, 2)
     h = _from_band(hb)
     k = hb.shape[1]
@@ -289,16 +275,20 @@ def test_band_ritz_ignores_the_corner_outside_h(spectrum, m):
     theta_d, s_d = _band_ritz(dirty, m, _TOL)
     assert np.isnan(dirty[2, k - 1])  # the caller's band is left as it was
     assert np.array_equal(theta, theta_d) and np.array_equal(s, s_d)
+    assert np.array_equal(_from_band(dirty), h)
     assert np.abs(h @ s - s * theta[: s.shape[1]]).max() <= 1e-12 * np.abs(h).max()
 
 
-def test_returned_pairs_are_the_dense_ones():
-    # The band decides when to stop; what is returned comes from the dense
-    # Ritz step of the final H.
+def test_returned_pairs_are_the_bands():
+    # The pairs the stopping test certified are the ones returned: the band
+    # Ritz step of the final H, which is exactly symmetric and zero beyond
+    # its band.
     p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
     res = min_eigpair(p.a, b=p.b)
     q, h = res.krylov
-    theta, s = _lowest_ritz(h, 4, res.tol_eig)
+    assert np.array_equal(h, h.T)
+    assert not np.triu(h, 3).any()
+    theta, s = _band_ritz(_band(h, 2), 4, res.tol_eig)
     assert res.lambda_min == theta[0]
     assert res.basis[0].tobytes() == (q @ s[:, 0] / np.linalg.norm(q @ s[:, 0])).tobytes()
 
@@ -308,7 +298,7 @@ def test_returned_pairs_are_the_dense_ones():
 )
 def test_band_stops_where_the_dense_rule_stops(gap, kw):
     # The dense stopping test at every prefix of the Krylov space: theta and
-    # s from _lowest_ritz of H's leading j-by-j block, B = H's subdiagonal
+    # s from a dense eigh of H's leading j-by-j block, B = H's subdiagonal
     # block below it.  A tighter tol runs the same iterations further, so
     # its H holds the B of the returned k too.
     p, _ = generate(GenSpec(n=500, gap=gap, seed=1, **kw))
@@ -318,7 +308,7 @@ def test_band_stops_where_the_dense_rule_stops(gap, kw):
     assert len(h) > k and np.array_equal(h[:k, :k], hk)
 
     def passes(j):
-        theta, s = _lowest_ritz(h[:j, :j], min(j, 4), _TOL)
+        theta, s = np.linalg.eigh(h[:j, :j])
         edge = _cluster_size(theta, _TOL)
         res = np.linalg.norm(h[j : j + 2, j - 2 : j] @ s[j - 2 : j, : edge + 1], axis=0)
         return np.all(res <= _TOL * np.maximum(1.0, np.abs(theta[: edge + 1])))

@@ -90,21 +90,14 @@ def test_routes_agree_with_oracle():
         assert np.linalg.norm(rd.x) <= 1.0 + 1e-10
 
 
-def test_pd_augmented_is_hard_and_init_in_both_sets():
+def test_pd_augmented_is_hard():
     rng = np.random.default_rng(2)
     n = 8
     g = rng.standard_normal((n, n))
     a = g @ g.T / n + 0.2 * np.eye(n)
     p = BtrsProblem(a=DenseOp(a), b=rng.standard_normal(n))
     p_hat = augment(p)
-    case = classify(p_hat, min_eigpair(p_hat.a))
-    assert case.kind == "hard"
-    x0 = np.concatenate(([1.0], -p.b))
-    x0 /= np.linalg.norm(x0)
-    rep = enumerate_affine_eigenvalues(p_hat)
-    for v in rep.min_eigvecs:
-        assert (v @ p_hat.b) * (v @ x0) <= 1e-12
-    assert abs(x0[0]) > 0  # nonzero along the added coordinate: inside S_H
+    assert classify(p_hat, min_eigpair(p_hat.a)).kind == "hard"
 
 
 def test_invalid_strategy():
