@@ -63,19 +63,13 @@ _STATUS_LABEL = {
 _EXIT_CODE = {STATUS_CONVERGED: 0, STATUS_MAX_ITER: 2}
 
 
-def _file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(trace_path, args_ns, cfg: SolverConfig, problem_path) -> None:
     manifest = {
         "command": args_ns.command,
         "config": dataclasses.asdict(cfg),
-        "problem_sha256": _file_sha256(problem_path) if problem_path else None,
+        "problem_sha256": (
+            hashlib.sha256(Path(problem_path).read_bytes()).hexdigest() if problem_path else None
+        ),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

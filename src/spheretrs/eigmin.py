@@ -39,10 +39,14 @@ def _cluster_tol(lam: float, tol: float) -> float:
     return 10.0 * tol * max(1.0, abs(lam))
 
 
-def _cluster_size(theta: np.ndarray, tol: float) -> int:
-    """How many of the ascending Ritz values ``theta`` lie within the
-    cluster of ``theta[0]``."""
-    return int(np.count_nonzero(theta - theta[0] <= _cluster_tol(theta[0], tol)))
+def _groups(theta: np.ndarray, tol: float) -> tuple[int, int]:
+    """``(edge, top)`` for ascending ``theta``: ``theta[:edge]`` is the cluster of
+    ``theta[0]``, ``theta[edge:top]`` that of the next value (none: top == edge)."""
+    def size(t):  # how many values lie below t or in its cluster
+        return int(np.count_nonzero(theta - t <= _cluster_tol(t, tol)))
+
+    edge = size(theta[0])
+    return edge, size(theta[edge]) if edge < len(theta) else edge
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,10 @@ def _orthonormalize(block: np.ndarray) -> np.ndarray:
 def _band_ritz(hb: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Ritz pairs ``(theta, s)`` of the symmetric band matrix h whose lower
     band is ``hb`` (``hb[d, j] = h[j + d, j]``): the ``m`` lowest values,
-    from ``dsbevx`` without vectors, and the vectors of the cluster of
-    ``theta[0]`` and of the first value above it, which the residual test
-    reads.  When those ``m`` lie within the cluster, or ``m >= k``, every
-    pair: the cluster-edge test needs the first value above the cluster.
+    from ``dsbevx`` without vectors, and the vectors of the two groups of
+    :func:`_groups`, which the residual test reads.  When those ``m`` do
+    not reach past both groups, or ``m >= k``, every pair: the test needs
+    the whole group above the cluster.
     The corner ``hb[d, j]`` with ``j + d >= k`` lies outside h; it may hold
     anything, NaN included."""
     kd, k = hb.shape[0] - 1, hb.shape[1]
@@ -94,8 +98,8 @@ def _band_ritz(hb: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, np.ndarr
             select_range=(0, m - 1),
             check_finite=False,
         )
-        if theta[-1] - theta[0] > _cluster_tol(theta[0], tol):
-            return theta, _band_vectors(hb, theta[: _cluster_size(theta, tol) + 1])
+        if (top := _groups(theta, tol)[1]) < m:
+            return theta, _band_vectors(hb, theta[:top])
     # Asked for vectors, eig_banded scans its input for NaNs whatever
     # check_finite says, so the corner is cleared in a copy first.
     hb = hb.copy(order="F")
@@ -237,12 +241,13 @@ def min_eigpair(
         r = av - q[:, :k] @ c
         r = r - q[:, :k] @ (q[:, :k].T @ r)
         v = _orthonormalize(r)[:, : n - k]
-        edge = _cluster_size(theta, tol)
-        # Every cluster vector must be converged, and so must the smallest
-        # Ritz value outside the cluster: otherwise an unresolved copy of
-        # lambda_min could still be hiding above it.  B = v' av.
-        res = np.linalg.norm(v.T @ av @ s[k - w : k, : edge + 1], axis=0)
-        if np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))):
+        edge, top = _groups(theta, tol)
+        # Every cluster vector must be converged, and so must the cluster above
+        # it as a subspace, whichever basis s holds (norm 0 if there is none):
+        # otherwise a copy of lambda_min could still be hiding there.  B = v' av.
+        bs = v.T @ av @ s[k - w : k, :top]
+        res = np.r_[np.linalg.norm(bs[:, :edge], axis=0), np.linalg.norm(bs[:, edge:], 2)]
+        if np.all(res <= tol * np.maximum(1.0, np.abs(theta[np.r_[:edge, top - 1]]))):
             break
 
     basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]

@@ -8,6 +8,8 @@ point, and the gradient of q is P_x M_x^{-1} (Ax + b).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .btrs import BtrsProblem, affine_rayleigh
@@ -115,12 +117,14 @@ def retract(x, eta) -> np.ndarray:
 
 
 class PointState:
-    """What a descent step needs at x, built from ``ax = A x`` with no
-    operator application: b'x, x'Ax, Ax + b, mu_x, q (computed afresh unless
-    given), M_x, the gradient g = P_x M_x^{-1} (Ax + b), M_x g, g(g, g) and
-    the residual norm ||mu_x x - Ax - b||."""
+    """What a descent step needs at x, from ``ax = A x`` with no operator
+    application: b'x, x'Ax, mu_x, q (afresh unless given), M_x, ||r|| for
+    r = mu_x x - Ax - b, and d = -g, M_x d and g(g, g) for the gradient
+    g = P_x M_x^{-1} (Ax + b).  Under :class:`StandardMetric` g = -r: d = r, and
+    r'r gives g(g, g) and ||r||, in six vector passes.  Other metrics form ``axb``."""
 
-    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "lm", "g", "mg", "gg", "rn")
+    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "lm", "d", "md", "gg", "rn")
+    g = property(lambda self: -self.d, doc="The gradient P_x M_x^{-1} (Ax + b).")
 
     def __init__(self, m: MetricScheme, p: BtrsProblem, x, ax, q: float | None = None):
         self.x, self.ax = x, ax
@@ -128,12 +132,16 @@ class PointState:
         self.xax = xax = float(x @ ax)
         self.mu = mu = xax + bx
         self.q = 0.5 * xax + bx if q is None else q
-        self.axb = ax + p.b
         self.lm = lm = m.at(p, x, mu)
-        self.g = g = lm.project(lm.minv(self.axb))
-        self.mg = lm.mapply(g)
-        self.gg = float(g @ self.mg)
-        self.rn = float(np.linalg.norm(mu * x - ax - p.b))
+        r = mu * x - ax - p.b  # btrs.residual's expression
+        self.rn = math.sqrt(rr := float(r @ r))
+        if isinstance(m, StandardMetric):
+            self.axb, self.d, self.md, self.gg = None, r, r, rr
+        else:
+            self.axb = ax + p.b
+            self.d = d = -lm.project(lm.minv(self.axb))
+            self.md = lm.mapply(d)
+            self.gg = float(d @ self.md)
 
 
 def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> np.ndarray:

@@ -23,7 +23,10 @@ Cost model: the descent loop applies A in two places.  The line search's
 follows by linearity).  A fresh ``A x`` is taken at the start, every ``K``
 accepted steps and before any verdict or return (residual replacement), so
 a returned ``mu``, ``q`` and residual never rest on the recurrence.  The
-state at a point is one :class:`~spheretrs.geometry.PointState`.
+state at a point is one :class:`~spheretrs.geometry.PointState`; under the
+standard metric its gradient is -r, the residual it forms, and a step of
+``rgd`` makes 16 vector passes besides ``A d``: 6 for the state, 10 for the
+line search (b'd, d'Ad, x'd, and 7 to form y and A y).
 """
 
 from __future__ import annotations
@@ -192,12 +195,13 @@ def _armijo(p, s, d, decrease, cfg, capped):
     # Scalars for the exact expansion of q((x+td)/||x+td||) - q(x).
     ad = p.a.apply(d)
     bd = float(p.b @ d)
-    de = float(d @ s.axb)
     dad = float(d @ ad)
     if not math.isfinite(dad):
         raise _NonFinite("operator output is non-finite (NaN or infinity)")
     xd = float(x @ d)
-    dd = float(d @ d)
+    dd = s.gg if d is s.d and s.axb is None else float(d @ d)
+    # The standard metric forms no Ax + b: d'(Ax + b) = d'g + mu_x x'd, d'g = -decrease.
+    de = s.mu * xd - decrease if s.axb is None else float(d @ s.axb)
     t = 1.0 / (p.b_norm or math.sqrt(dd) or 1.0)  # 1/||b||, 1/||d|| or 1
     if not (capped and p.b_norm > 0):
         curv = dad - dd * s.mu
@@ -206,14 +210,14 @@ def _armijo(p, s, d, decrease, cfg, capped):
     while t >= 1e-18:
         s2m1 = 2.0 * t * xd + t * t * dd  # ||x+td||^2 - 1
         s2 = 1.0 + s2m1
-        sq = np.sqrt(s2)
+        sq = math.sqrt(s2)
         sm1 = s2m1 / (1.0 + sq)
         dq = (
             t * de + t * bd * sm1 + 0.5 * t * t * dad - 0.5 * xax * s2m1
         ) / s2 - bx * sm1 / sq
         if -dq >= t * c * decrease:
             y = x + t * d
-            ny = np.linalg.norm(y)
+            ny = math.sqrt(y @ y)
             return t, y / ny, (s.ax + t * ad) / ny, s.q + dq
         t *= tau
     return None, None, None, None
@@ -268,11 +272,11 @@ def _descent_loop(
     def record():
         it = s.x.copy() if cfg.record_iterates else None
         el = time.perf_counter() - trace.t_start
-        trace.record(s.q, np.sqrt(max(s.gg, 0.0)), s.rn, step, el, it)
+        trace.record(s.q, math.sqrt(max(s.gg, 0.0)), s.rn, step, el, it)
 
     x = _check_start(x0, p.dim)
-    s = fresh(x / np.linalg.norm(x))
-    d, dg = -s.g, -s.gg  # dg = g(d, grad)
+    s = fresh(x / math.sqrt(x @ x))
+    d, dg = s.d, -s.gg  # dg = g(d, grad)
     stale = 0  # accepted steps since s.ax was last a fresh product
     status, reason, step = STATUS_MAX_ITER, "", 0.0
 
@@ -283,7 +287,7 @@ def _descent_loop(
             s, stale = fresh(s.x), 0
             done = s.gg <= tol_gg and s.rn <= eff_tol_res
             if not done:
-                d, dg = -s.g, -s.gg
+                d, dg = s.d, -s.gg
         if not math.isfinite(s.mu):
             status, reason = STATUS_FAILED, "non-finite"
             break
@@ -306,17 +310,16 @@ def _descent_loop(
         s = PointState(m, p, y, ay, qy) if stale else fresh(y)
 
         if use_cg:
-            # Transport the previous gradient and direction by projection.
-            tg = s.lm.project(old.g)
+            # Transport the previous gradient (as -g) and direction by
+            # projection; Polak-Ribiere+ with metric inner products.
+            tg = s.lm.project(old.d)
             td = s.lm.project(d)
-            mtg = s.lm.mapply(tg)
-            # Polak-Ribiere+ with metric inner products.
-            beta = float(s.g @ s.mg - s.g @ mtg) / old.gg if old.gg > 0 else 0.0
+            beta = float(s.d @ s.md - s.d @ s.lm.mapply(tg)) / old.gg if old.gg > 0 else 0.0
             beta = max(0.0, beta)
-            d = -s.g + beta * td
-            dg = float(d @ s.mg)
+            d = s.d + beta * td
+            dg = -float(d @ s.md)
         if not use_cg or dg >= 0.0:
-            d, dg = -s.g, -s.gg
+            d, dg = s.d, -s.gg
 
     if stale and reason != "non-finite":
         s = fresh(s.x)

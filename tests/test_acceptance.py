@@ -40,6 +40,7 @@ from spheretrs import (
     tangent_basis,
     transport,
 )
+from spheretrs.trs import lift_eigpair
 
 
 @pytest.fixture
@@ -284,14 +285,16 @@ def test_08_trs_augmentation(report):
         if pd:
             p_hat = augment(p)
             case = classify(p_hat, min_eigpair(p_hat.a, seed=trial))
-            x0 = np.concatenate(([1.0], -b))
-            x0 /= np.linalg.norm(x0)
-            rep_hat = enumerate_affine_eigenvalues(p_hat)
-            in_se = all(
-                float(v @ p_hat.b) * float(v @ x0) <= 1e-12 for v in rep_hat.min_eigvecs
+            # The lift's eigenpair as solve_trs derives it from A's: (0, [e_1]),
+            # orthogonal to b_hat, so the lifted problem is hard.
+            lifted = lift_eigpair(min_eigpair(p.a, seed=0, b=p.b))
+            lift_ok = (
+                lifted.lambda_min == 0.0
+                and len(lifted.basis) == 1
+                and np.array_equal(lifted.basis[0], np.eye(n + 1)[0])
+                and classify(p_hat, lifted).kind == "hard"
             )
-            in_sh = any(abs(float(v @ x0)) > 1e-12 for v in rep_hat.min_eigvecs)
-            if not (case.kind == "hard" and in_se and in_sh):
+            if not (case.kind == "hard" and lift_ok):
                 pd_checks = False
     ok = worst <= 1.0 and pd_checks
     report(

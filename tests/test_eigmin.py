@@ -12,12 +12,13 @@ from spheretrs import (
     generate,
     min_eigpair,
 )
+from spheretrs import eigmin
 from spheretrs.eigmin import (
     MinEigResult,
     _band_ritz,
-    _cluster_size,
     _cluster_tol,
     _from_band,
+    _groups,
 )
 
 
@@ -211,13 +212,15 @@ _SPLIT = 2 * _cluster_tol(1.0, _TOL)  # just too far apart to share a cluster
 @pytest.mark.parametrize(
     "spectrum, width, m, count",
     [
-        # count: the cluster and the first value above it, which the
-        # residual test reads, or every pair.
+        # count: the cluster and the group of the first value above it,
+        # which the residual test reads, or every pair.
         (np.arange(1.0, 41.0), 2, 4, 2),
         (np.arange(1.0, 41.0), 1, 4, 2),  # a block that shrank to one column
         (np.r_[1.0, 1.0, np.arange(2.0, 40.0)], 2, 4, 3),  # 2-fold bottom cluster
         (np.r_[1.0, 1.0 + _SPLIT, np.arange(2.0, 40.0)], 2, 4, 2),
-        (np.r_[1.0, 2.0, 2.0 + _SPLIT, np.arange(3.0, 40.0)], 2, 4, 2),
+        (np.r_[1.0, 2.0, 2.0 + 2 * _SPLIT, np.arange(3.0, 40.0)], 2, 4, 2),
+        (np.r_[1.0, 2.0, 2.0, np.arange(3.0, 40.0)], 2, 4, 3),  # 2-fold group above
+        (np.r_[1.0, 2.0, 2.0, 2.0, np.arange(3.0, 38.0)], 3, 4, 39),  # group reaches m
         (np.arange(1.0, 5.0), 2, 4, 4),  # m >= k: every pair
         (np.arange(1.0, 4.0), 1, 4, 3),
     ],
@@ -250,7 +253,7 @@ def test_band_ritz_takes_every_pair_inside_a_cluster():
     hb = np.hstack([_krylov_band(spectrum, 2), _krylov_band(spectrum, 2, seed=1)])
     h = _from_band(hb)
     theta, s = _band_ritz(hb, 4, _TOL)
-    assert len(theta) == s.shape[1] == len(h) and _cluster_size(theta, _TOL) == 4
+    assert len(theta) == s.shape[1] == len(h) and _groups(theta, _TOL)[0] == 4
     assert np.abs(h @ s - s * theta).max() <= 1e-12 * np.abs(h).max()
 
 
@@ -309,11 +312,40 @@ def test_band_stops_where_the_dense_rule_stops(gap, kw):
 
     def passes(j):
         theta, s = np.linalg.eigh(h[:j, :j])
-        edge = _cluster_size(theta, _TOL)
-        res = np.linalg.norm(h[j : j + 2, j - 2 : j] @ s[j - 2 : j, : edge + 1], axis=0)
+        edge, top = _groups(theta, _TOL)
+        bs = h[j : j + 2, j - 2 : j] @ s[j - 2 : j, :top]
+        res = np.r_[np.linalg.norm(bs[:, :edge], axis=0), np.linalg.norm(bs[:, edge:], 2)]
         return np.all(res <= _TOL * np.maximum(1.0, np.abs(theta[: edge + 1])))
 
     assert next(j for j in range(2, len(h), 2) if passes(j)) == k
+
+
+def test_stop_reads_the_group_above_the_cluster_as_a_subspace(monkeypatch):
+    # A pair just above the minimum makes one group, which the stopping test
+    # reads through the spectral norm of B S: the solve stops at the same
+    # iteration whichever orthonormal basis of the pair the Ritz step
+    # returns.  Reading one vector of the pair, the stop moves with the basis.
+    a = DiagonalOp(np.r_[-1.0, 0.0, 0.0, np.linspace(0.01, 10.0, 197)])
+    rotated = [0]
+
+    def ritz(angle):
+        def run(hb, m, tol):
+            theta, s = _band_ritz(hb, m, tol)
+            edge, top = _groups(theta, tol)
+            if top - edge == 2:
+                rotated[0] += 1
+                c, sn = np.cos(angle), np.sin(angle)
+                s = s.copy()
+                s[:, edge:top] = s[:, edge:top] @ np.array([[c, -sn], [sn, c]])
+            return theta, s
+
+        return run
+
+    iterations = set()
+    for angle in np.linspace(0.0, np.pi, 9):
+        monkeypatch.setattr(eigmin, "_band_ritz", ritz(angle))
+        iterations.add(min_eigpair(a).iterations)
+    assert rotated[0] > 0 and len(iterations) == 1
 
 
 @pytest.mark.parametrize("b", [None, np.zeros(40)])

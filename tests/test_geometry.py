@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,13 @@ from spheretrs import (
     metric_inner,
     objective,
     project_tangent,
+    residual,
     retract,
     rgrad,
     tangent_basis,
     transport,
 )
+from spheretrs.geometry import PointState
 
 
 def random_problem(n, seed):
@@ -184,3 +188,22 @@ def test_tangent_basis():
         assert basis.shape == (n, n - 1)
         assert np.allclose(basis.T @ basis, np.eye(n - 1), atol=1e-12)
         assert np.allclose(basis.T @ x, 0.0, atol=1e-12)
+
+
+def test_standard_point_state_takes_the_gradient_from_the_residual():
+    # Under the standard metric g = P_x (Ax + b) = Ax + b - mu_x x = -r: one
+    # residual, one dot for g'g and ||r||, and the same ||r|| that
+    # btrs.residual gives from the same A x.
+    p, rng = random_problem(40, 3)
+    m = StandardMetric()
+    for _ in range(5):
+        x = rng.standard_normal(40)
+        x /= np.linalg.norm(x)
+        ax = p.a.apply(x)
+        s = PointState(m, p, x, ax)
+        axb = ax + p.b
+        err = np.linalg.norm(s.g - project_tangent(m, p, x, axb))
+        assert err <= 1e-14 * np.linalg.norm(axb)
+        assert math.sqrt(s.gg) == s.rn
+        assert math.isclose(s.gg, s.rn**2, rel_tol=4 * np.finfo(float).eps)
+        assert s.rn == np.linalg.norm(residual(p, x, s.mu))

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import sys
@@ -39,8 +40,9 @@ from spheretrs import (
     rgrad,
 )
 import spheretrs.solvers as solvers_mod
+from spheretrs.geometry import PointState
 from spheretrs.oracle import GLOBAL_SOLVE_LIMIT
-from spheretrs.solvers import K
+from spheretrs.solvers import K, _armijo
 
 
 def diag_problem(d, b):
@@ -633,3 +635,49 @@ def test_krylov_state_beyond_the_global_solve_limit():
     res = lpr_solve(p, eig=eig)
     assert res.converged
     assert res.trace.q == lpr_solve(p, eig=stateless).trace.q
+
+
+def test_armijo_dd_shortcut_is_exact():
+    # On the steepest-descent direction the standard metric's line search
+    # takes d'd from the state's g'g, the same dot, so nothing changes.
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    x = haar_unit(60, np.random.default_rng(0))
+    s = PointState(StandardMetric(), p, x, p.a.apply(x))
+    for capped in (True, False):
+        short = _armijo(p, s, s.d, s.gg, SolverConfig(), capped)
+        full = _armijo(p, s, s.d.copy(), s.gg, SolverConfig(), capped)
+        assert short[0] is not None
+        assert (short[0], short[3]) == (full[0], full[3])
+        assert short[1].tobytes() == full[1].tobytes()
+        assert short[2].tobytes() == full[2].tobytes()
+
+
+def _sha256(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# A seeded rcg run's trace and result, recorded before the standard metric's
+# descent step took its gradient from the residual: the seeded path keeps
+# its formulas, so its arithmetic is byte-identical.  Bits depend on the
+# BLAS kernels, so the digest applies only where the problem, the sketch and
+# one product of each kind hash as they did where it was recorded (NumPy
+# 2.4.6 with scipy-openblas 0.3.31, x86-64 with AVX-512, one thread).
+_SEEDED_PRIMITIVES = "716e6b376db4506a9d53bb22a5ac4b20c316f661d2c26935bffb90fc0270ea17"
+_SEEDED_TRACE = "196758633eb48f2613e947630130564a25c3ee05eb4cbdf261fdd0082c4dc5d0"
+
+
+def test_seeded_rcg_trace_is_unchanged():
+    p, _ = generate(GenSpec(n=60, gap=1e-2, seed=1))
+    pre = build_eig_seed(p.a, rank=5, seed=0)
+    primitives = _sha256(
+        p.a.to_dense(), p.b, pre.u, pre.d, p.a.apply(p.b), pre.solve(1.0, p.b), p.b @ p.b
+    )
+    if primitives != _SEEDED_PRIMITIVES:
+        pytest.skip("this BLAS rounds differently from the one the digest was recorded on")
+    res = rcg(SeededMetric(pre, make_phi(pre, p)), p, -p.b / p.b_norm)
+    t = res.trace
+    assert res.converged
+    assert _sha256(t.q, t.grad_norm, t.res_norm, t.step, res.x, [res.mu, res.q]) == _SEEDED_TRACE
