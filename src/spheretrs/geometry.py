@@ -48,7 +48,7 @@ class _EuclideanLocal(LocalMetric):
         return v
 
     def project(self, v):
-        return v - self.x * float(self.x @ v)
+        return v - self.x * float(self.x.dot(v))
 
 
 class _SeededLocal(LocalMetric):
@@ -128,20 +128,20 @@ class PointState:
 
     def __init__(self, m: MetricScheme, p: BtrsProblem, x, ax, q: float | None = None):
         self.x, self.ax = x, ax
-        self.bx = bx = float(p.b @ x)
-        self.xax = xax = float(x @ ax)
+        self.bx = bx = float(p.b.dot(x))
+        self.xax = xax = float(x.dot(ax))
         self.mu = mu = xax + bx
         self.q = 0.5 * xax + bx if q is None else q
         self.lm = lm = m.at(p, x, mu)
         r = mu * x - ax - p.b  # btrs.residual's expression
-        self.rn = math.sqrt(rr := float(r @ r))
+        self.rn = math.sqrt(rr := float(r.dot(r)))
         if isinstance(m, StandardMetric):
             self.axb, self.d, self.md, self.gg = None, r, r, rr
         else:
             self.axb = ax + p.b
             self.d = d = -lm.project(lm.minv(self.axb))
             self.md = lm.mapply(d)
-            self.gg = float(d @ self.md)
+            self.gg = float(d.dot(self.md))
 
 
 def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> np.ndarray:

@@ -26,7 +26,8 @@ a returned ``mu``, ``q`` and residual never rest on the recurrence.  The
 state at a point is one :class:`~spheretrs.geometry.PointState`; under the
 standard metric its gradient is -r, the residual it forms, and a step of
 ``rgd`` makes 16 vector passes besides ``A d``: 6 for the state, 10 for the
-line search (b'd, d'Ad, x'd, and 7 to form y and A y).
+line search (b'd, d'Ad, x'd, and 7 to form y and A y).  Per-step dots are
+``ndarray.dot``: the BLAS ddot that ``@`` calls, at half its call overhead.
 """
 
 from __future__ import annotations
@@ -194,14 +195,14 @@ def _armijo(p, s, d, decrease, cfg, capped):
     x, bx, xax = s.x, s.bx, s.xax
     # Scalars for the exact expansion of q((x+td)/||x+td||) - q(x).
     ad = p.a.apply(d)
-    bd = float(p.b @ d)
-    dad = float(d @ ad)
+    bd = float(p.b.dot(d))
+    dad = float(d.dot(ad))
     if not math.isfinite(dad):
         raise _NonFinite("operator output is non-finite (NaN or infinity)")
-    xd = float(x @ d)
-    dd = s.gg if d is s.d and s.axb is None else float(d @ d)
+    xd = float(x.dot(d))
+    dd = s.gg if d is s.d and s.axb is None else float(d.dot(d))
     # The standard metric forms no Ax + b: d'(Ax + b) = d'g + mu_x x'd, d'g = -decrease.
-    de = s.mu * xd - decrease if s.axb is None else float(d @ s.axb)
+    de = s.mu * xd - decrease if s.axb is None else float(d.dot(s.axb))
     t = 1.0 / (p.b_norm or math.sqrt(dd) or 1.0)  # 1/||b||, 1/||d|| or 1
     if not (capped and p.b_norm > 0):
         curv = dad - dd * s.mu
@@ -217,7 +218,7 @@ def _armijo(p, s, d, decrease, cfg, capped):
         ) / s2 - bx * sm1 / sq
         if -dq >= t * c * decrease:
             y = x + t * d
-            ny = math.sqrt(y @ y)
+            ny = math.sqrt(y.dot(y))
             return t, y / ny, (s.ax + t * ad) / ny, s.q + dq
         t *= tau
     return None, None, None, None
@@ -310,14 +311,13 @@ def _descent_loop(
         s = PointState(m, p, y, ay, qy) if stale else fresh(y)
 
         if use_cg:
-            # Transport the previous gradient (as -g) and direction by
-            # projection; Polak-Ribiere+ with metric inner products.
+            # Transport the last -g and d by projection; Polak-Ribiere+ in the metric.
             tg = s.lm.project(old.d)
             td = s.lm.project(d)
-            beta = float(s.d @ s.md - s.d @ s.lm.mapply(tg)) / old.gg if old.gg > 0 else 0.0
+            beta = float(s.d.dot(s.md) - s.d.dot(s.lm.mapply(tg))) / old.gg if old.gg > 0 else 0.0
             beta = max(0.0, beta)
             d = s.d + beta * td
-            dg = -float(d @ s.md)
+            dg = -float(d.dot(s.md))
         if not use_cg or dg >= 0.0:
             d, dg = s.d, -s.gg
 

@@ -219,10 +219,10 @@ _SPLIT = 2 * _cluster_tol(1.0, _TOL)  # just too far apart to share a cluster
         (np.r_[1.0, 1.0, np.arange(2.0, 40.0)], 2, 4, 3),  # 2-fold bottom cluster
         (np.r_[1.0, 1.0 + _SPLIT, np.arange(2.0, 40.0)], 2, 4, 2),
         (np.r_[1.0, 2.0, 2.0 + 2 * _SPLIT, np.arange(3.0, 40.0)], 2, 4, 2),
-        (np.r_[1.0, 2.0, 2.0, np.arange(3.0, 40.0)], 2, 4, 3),  # 2-fold group above
-        (np.r_[1.0, 2.0, 2.0, 2.0, np.arange(3.0, 38.0)], 3, 4, 39),  # group reaches m
         (np.arange(1.0, 5.0), 2, 4, 4),  # m >= k: every pair
         (np.arange(1.0, 4.0), 1, 4, 3),
+        (np.r_[1.0, 2.0, 2.0, np.arange(3.0, 40.0)], 2, 4, 3),  # 2-fold group above
+        (np.r_[1.0, 2.0, 2.0, 2.0, np.arange(3.0, 38.0)], 3, 4, 39),  # group reaches m
     ],
 )
 def test_band_ritz_matches_dense_eigh(spectrum, width, m, count):
