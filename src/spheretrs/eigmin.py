@@ -42,11 +42,9 @@ def _cluster_tol(lam: float, tol: float) -> float:
 def _groups(theta: np.ndarray, tol: float) -> tuple[int, int]:
     """``(edge, top)`` for ascending ``theta``: ``theta[:edge]`` is the cluster of
     ``theta[0]``, ``theta[edge:top]`` that of the next value (none: top == edge)."""
-    def size(t):  # how many values lie below t or in its cluster
-        return int(np.count_nonzero(theta - t <= _cluster_tol(t, tol)))
-
-    edge = size(theta[0])
-    return edge, size(theta[edge]) if edge < len(theta) else edge
+    edge = int(np.count_nonzero(theta - theta[0] <= _cluster_tol(theta[0], tol)))
+    t = theta[min(edge, len(theta) - 1)]  # theta[-1] when theta is all one cluster
+    return edge, int(np.count_nonzero(theta - t <= _cluster_tol(t, tol)))
 
 
 @dataclass(frozen=True)
@@ -242,12 +240,13 @@ def min_eigpair(
         r = r - q[:, :k] @ (q[:, :k].T @ r)
         v = _orthonormalize(r)[:, : n - k]
         edge, top = _groups(theta, tol)
-        # Every cluster vector must be converged, and so must the cluster above
-        # it as a subspace, whichever basis s holds (norm 0 if there is none):
-        # otherwise a copy of lambda_min could still be hiding there.  B = v' av.
+        # Every cluster vector must be converged, and so must the cluster above it
+        # (as a subspace): otherwise a copy of lambda_min could hide there.  B = v' av.
         bs = v.T @ av @ s[k - w : k, :top]
-        res = np.r_[np.linalg.norm(bs[:, :edge], axis=0), np.linalg.norm(bs[:, edge:], 2)]
-        if np.all(res <= tol * np.maximum(1.0, np.abs(theta[np.r_[:edge, top - 1]]))):
+        res = np.linalg.norm(bs, axis=0)[: edge + 1]
+        if top > edge + 1:  # whichever basis of it s holds: the spectral norm
+            res[edge] = np.linalg.norm(bs[:, edge:], 2)
+        if np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))):
             break
 
     basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]
