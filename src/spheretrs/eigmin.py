@@ -19,7 +19,10 @@ H's entries beyond it, roundoff of no more than that size.
 
 A solve given a vector b returns its Krylov state: the same space
 approximates the solution of the sphere problem with that b (Gould, Lucidi,
-Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read.
+Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read.  The
+iteration itself is a generator (``_lanczos``) that yields its state after
+each step; ``min_eigpair`` stops it by the residual test, and
+``solve_trs`` may stop it earlier, once its own answer is certified.
 """
 
 from __future__ import annotations
@@ -159,33 +162,57 @@ def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def min_eigpair(
-    a: SymOp,
-    tol: float = 1e-10,
-    seed: int = 0,
-    b: Optional[np.ndarray] = None,
-) -> MinEigResult:
-    """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
+@dataclass(frozen=True)
+class _Step:
+    """The state of :func:`_lanczos` after one iteration: the basis Q
+    (n-by-k), the lower band ``hb`` of H = Q'AQ (its corner unwritten, as in
+    :func:`_band_ritz`), B = V'A(last block), and the Ritz step: ascending
+    values ``theta``, band vectors ``s``, the groups ``(edge, top)`` of
+    :func:`_groups` and the residual norms ``res`` of ``theta[:edge + 1]``,
+    the last that of the whole group above the cluster.  ``done`` is
+    :func:`min_eigpair`'s stopping test."""
 
-    Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
-    grouped into the returned basis, approximating the minimal eigenspace
-    when the eigenvalue is numerically multiple; the block of two vectors
-    is what makes that detection possible.  Deterministic given ``seed``.
-    Raises ``ValueError`` when ``tol`` is not positive and finite, when
-    ``seed`` is not an integer >= 0, when ``b`` is not a finite vector of
-    length n, or when the operator returns a NaN or an infinity.
+    iterations: int
+    q: np.ndarray
+    hb: np.ndarray
+    bmat: np.ndarray
+    theta: np.ndarray
+    s: np.ndarray
+    edge: int
+    top: int
+    res: np.ndarray
+    done: bool
 
-    The start block is two random columns.  A nonzero ``b`` takes the place
-    of the first, and the second is drawn as without it.  Given any ``b``,
-    ``b = 0`` included, the result keeps its Krylov state
-    (:attr:`MinEigResult.krylov`); with ``b = 0`` the start, and so
-    everything else, is the b-less solve's.
+    def lower_bound(self) -> float:
+        """A Kato-Temple lower bound on lambda_min (Parlett 1998, ch. 10):
+        theta_1 - res_1^2 / (theta_above - res_above - theta_1), from the
+        group above a one-vector cluster; -inf when the cluster has more
+        vectors, no group lies above it, or the group's interval reaches
+        theta_1.  It holds under the eigensolve's standing assumption that
+        no eigenvalue below theta_1 was missed, so that none but lambda_min
+        lies below theta_above - res_above."""
+        if self.edge != 1 or self.top == 1:
+            return -np.inf
+        gap = self.theta[1] - self.res[1] - self.theta[0]
+        return float(self.theta[0] - self.res[0] ** 2 / gap) if gap > 0 else -np.inf
 
-    Each Ritz residual is read from B (see the module docstring).  An empty
-    next block means the Krylov space is invariant: every residual reads 0
-    and the solve returns, so it returns within n iterations.  The basis
-    grows by doubling, so it never holds more than twice the columns in use.
-    """
+    def krylov(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(Q, H)`` with H dense, as :attr:`MinEigResult.krylov` holds it."""
+        return self.q, _from_band(self.hb)
+
+    def result(self, tol: float, keep_krylov: bool) -> MinEigResult:
+        """The :class:`MinEigResult` of a solve stopped at this step."""
+        q, s = self.q, self.s
+        basis = [y / np.linalg.norm(y) for y in (q @ s[:, j] for j in range(self.edge))]
+        krylov = self.krylov() if keep_krylov else None
+        return MinEigResult(float(self.theta[0]), basis, tol, self.iterations, krylov)
+
+
+def _lanczos(a: SymOp, tol: float, seed: int, b: Optional[np.ndarray]):
+    """The block Lanczos iteration of :func:`min_eigpair`, which checks the
+    arguments: a generator of its :class:`_Step` after each iteration.  It
+    runs on while its consumer asks; every residual reads 0 once the space
+    is invariant."""
     n = a.dim
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -241,14 +268,43 @@ def min_eigpair(
         v = _orthonormalize(r)[:, : n - k]
         edge, top = _groups(theta, tol)
         # Every cluster vector must be converged, and so must the cluster above it
-        # (as a subspace): otherwise a copy of lambda_min could hide there.  B = v' av.
-        bs = v.T @ av @ s[k - w : k, :top]
+        # (as a subspace): otherwise a copy of lambda_min could hide there.
+        bmat = v.T @ av
+        bs = bmat @ s[k - w : k, :top]
         res = np.linalg.norm(bs, axis=0)[: edge + 1]
         if top > edge + 1:  # whichever basis of it s holds: the spectral norm
             res[edge] = np.linalg.norm(bs[:, edge:], 2)
-        if np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))):
-            break
+        done = bool(np.all(res <= tol * np.maximum(1.0, np.abs(theta[: edge + 1]))))
+        yield _Step(iterations, q[:, :k], hb[:, :k], bmat, theta, s, edge, top, res, done)
 
-    basis = [y / np.linalg.norm(y) for y in (q[:, :k] @ s[:, j] for j in range(edge))]
-    krylov = None if b is None else (q[:, :k], _from_band(hb[:, :k]))
-    return MinEigResult(float(theta[0]), basis, tol, iterations, krylov)
+
+def min_eigpair(
+    a: SymOp,
+    tol: float = 1e-10,
+    seed: int = 0,
+    b: Optional[np.ndarray] = None,
+) -> MinEigResult:
+    """Smallest eigenvalue of A and an orthonormal basis of its Ritz cluster.
+
+    Ritz values within :attr:`MinEigResult.cluster_tol` of the smallest are
+    grouped into the returned basis, approximating the minimal eigenspace
+    when the eigenvalue is numerically multiple; the block of two vectors
+    is what makes that detection possible.  Deterministic given ``seed``.
+    Raises ``ValueError`` when ``tol`` is not positive and finite, when
+    ``seed`` is not an integer >= 0, when ``b`` is not a finite vector of
+    length n, or when the operator returns a NaN or an infinity.
+
+    The start block is two random columns.  A nonzero ``b`` takes the place
+    of the first, and the second is drawn as without it.  Given any ``b``,
+    ``b = 0`` included, the result keeps its Krylov state
+    (:attr:`MinEigResult.krylov`); with ``b = 0`` the start, and so
+    everything else, is the b-less solve's.
+
+    Each Ritz residual is read from B (see the module docstring).  An empty
+    next block means the Krylov space is invariant: every residual reads 0
+    and the solve returns, so it returns within n iterations.  The basis
+    grows by doubling, so it never holds more than twice the columns in use.
+    """
+    for step in _lanczos(a, tol, seed, b):
+        if step.done:
+            return step.result(tol, b is not None)

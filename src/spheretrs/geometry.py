@@ -144,10 +144,10 @@ class PointState:
             self.gg = float(d.dot(self.md))
 
 
-def rgrad(m: MetricScheme, p: BtrsProblem, x, ax: np.ndarray | None = None) -> np.ndarray:
+def rgrad(m: MetricScheme, p: BtrsProblem, x) -> np.ndarray:
     """Riemannian gradient P_x M_x^{-1} (Ax + b) of q at x."""
     x = np.asarray(x, dtype=float)
-    return PointState(m, p, x, p.a.apply(x) if ax is None else ax).g
+    return PointState(m, p, x, p.a.apply(x)).g
 
 
 def transport(m: MetricScheme, p: BtrsProblem, x, eta, xi) -> np.ndarray:

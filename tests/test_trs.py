@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spheretrs.eigmin as eigmin_mod
 import spheretrs.solvers as solvers_mod
 import spheretrs.trs as trs_mod
 from spheretrs import (
@@ -122,7 +123,7 @@ def _counting(p0):
 
 def test_lift_reuses_eigpair(monkeypatch):
     p, _ = generate(GenSpec(n=30, gap=1e-2, seed=3))
-    counts = {"min_eigpair": 0, "double_start": 0}
+    counts = {"eigensolve": 0, "double_start": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -131,15 +132,17 @@ def test_lift_reuses_eigpair(monkeypatch):
 
         return wrapper
 
-    lanczos = counted("min_eigpair", min_eigpair)
-    monkeypatch.setattr(trs_mod, "min_eigpair", lanczos)
-    monkeypatch.setattr(solvers_mod, "min_eigpair", lanczos)
+    # Every eigensolve, min_eigpair's or solve_trs's own, starts one
+    # block Lanczos iteration.
+    lanczos = counted("eigensolve", eigmin_mod._lanczos)
+    monkeypatch.setattr(trs_mod, "_lanczos", lanczos)
+    monkeypatch.setattr(eigmin_mod, "_lanczos", lanczos)
     starts = counted("double_start", solvers_mod.double_start)
     monkeypatch.setattr(trs_mod, "double_start", starts, raising=False)
     monkeypatch.setattr(solvers_mod, "double_start", starts)
     res = solve_trs(p, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
-    assert counts == {"min_eigpair": 1, "double_start": 0}
+    assert counts == {"eigensolve": 1, "double_start": 0}
     _, q_true = trs_optimum(p)
     assert res.q == pytest.approx(q_true, rel=1e-9)
 
@@ -290,18 +293,110 @@ def test_lift_eigpair_lifts_the_krylov_state(gap):
 
 def test_zero_b_positive_definite_takes_the_lift():
     # With b = 0 the eigensolve keeps its Krylov state: "decide" finds the
-    # interior x = 0 with one application after the eigensolve, and the
-    # lift returns x = 0 too.
+    # interior x = 0, and the lift returns x = 0 too.  The certificate holds
+    # after the start block's two applications, so the eigensolve stops
+    # there (it would take a third), and one fresh A y follows.
     p0 = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     p = _counting(p0)
     min_eigpair(p.a, b=p.b)
-    eig_calls = p.a.calls[0]
+    assert p.a.calls[0] == 3
     p = _counting(p0)
     res = solve_trs(p, "decide")
-    assert res.route == "interior" and p.a.calls[0] == eig_calls + 1
+    assert res.route == "interior" and p.a.calls[0] == 2 + 1
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
     assert not np.signbit(res.x).any()  # array_equal takes -0.0 for 0.0
     res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
     assert not np.signbit(res.x).any()
+
+
+def test_certified_stop_on_the_pd_interior_instance():
+    # The ball benchmark's interior instance.  The full eigensolve from b,
+    # a lower bound on either strategy's cost before the certified stop,
+    # runs over 200 applications; the certificate holds after under 110.
+    spec = GenSpec(n=500, gap=0.5, seed=1, noise_frac=0.0, signal_range=(1.0, 10.0))
+    p0, _ = generate(spec)
+    p = _counting(p0)
+    min_eigpair(p.a, b=p.b)
+    eig_calls = p.a.calls[0]
+    y = np.linalg.solve(p0.a.to_dense(), -p0.b)
+    for strategy, route in (("decide", "interior"), ("always_augment", "augmented")):
+        p = _counting(p0)
+        res = solve_trs(p, strategy)
+        assert res.route == route
+        assert p.a.calls[0] <= 0.6 * eig_calls
+        assert np.linalg.norm(res.x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def _trap_problem(n=100, weight=1e-6):
+    """An indefinite A, eigenvalue -0.5 and the rest in [1, 10], whose
+    eigenvector u of -0.5 has weight about ``weight`` in b and in the second
+    start column of the eigensolve at seed 0; -A^{-1}b would lie inside the
+    ball if A were positive definite."""
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(n)
+    b *= 0.3 / np.linalg.norm(b)
+    s2 = np.random.default_rng(0).standard_normal((n, 2))[:, 1]
+    basis, _ = np.linalg.qr(np.column_stack([b, s2]))
+    w = rng.standard_normal(n)
+    w -= basis @ (basis.T @ w)
+    u = w / np.linalg.norm(w) + weight * (basis[:, 0] + s2 / np.linalg.norm(s2))
+    u /= np.linalg.norm(u)
+    v, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+    a = (v * np.concatenate(([-0.5], np.linspace(1.0, 10.0, n - 1)))) @ v.T
+    return BtrsProblem(a=DenseOp((a + a.T) / 2), b=b)
+
+
+def test_early_ritz_values_above_a_missed_eigenvalue_certify_nothing():
+    # While the eigenvector of -0.5 is still hidden, the Kato-Temple bound
+    # reads lambda_min > 0; the Galerkin residual, which must resolve b's
+    # component along it, withholds the certificate until the Ritz values
+    # turn negative.
+    p = _trap_problem()
+    bounds = []
+    for step in eigmin_mod._lanczos(p.a, 1e-10, 0, p.b):
+        bounds.append(step.lower_bound())
+        if step.done:
+            break
+    assert max(bounds) > 1e-10 and step.theta[0] < 0
+    _, q_true = trs_optimum(p)
+    for strategy, route in (("decide", "direct"), ("always_augment", "augmented")):
+        res = solve_trs(p, strategy)
+        assert res.route == route
+        assert res.q == pytest.approx(q_true, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.2, 5.0])
+def test_double_lambda_min_positive_definite(scale):
+    # lambda_min = 0.5 twice; scale 0.2 puts -A^{-1}b inside the ball, 5 outside.
+    rng = np.random.default_rng(4)
+    n = 60
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate(([0.5, 0.5], np.linspace(1.0, 10.0, n - 2)))
+    a = (v * lam) @ v.T
+    b = rng.standard_normal(n)
+    p = BtrsProblem(a=DenseOp((a + a.T) / 2), b=scale * b / np.linalg.norm(b))
+    _, q_true = trs_optimum(p)
+    for strategy in ("decide", "always_augment"):
+        res = solve_trs(p, strategy)
+        assert (res.route == "interior") == (strategy == "decide" and scale < 1.0)
+        assert res.q == pytest.approx(q_true, rel=1e-10)
+        assert np.linalg.norm(res.x) <= 1.0 + 1e-10
+
+
+def test_band_solve_never_reads_the_band_corner():
+    # The corner hb[d, j], j + d >= k, lies outside H; the eigensolve leaves
+    # it unwritten (np.empty), so it may hold NaN.
+    rng = np.random.default_rng(0)
+    k = 7
+    m = rng.standard_normal((k, k))
+    h = np.triu(np.tril(m @ m.T + k * np.eye(k), 2), -2)
+    hb = np.full((3, k), np.nan, order="F")
+    for d in range(3):
+        hb[d, : k - d] = np.diagonal(h, -d)
+    g = rng.standard_normal(k)
+    z = trs_mod._band_solve(hb, g)
+    assert np.allclose(z, np.linalg.solve(h, g), rtol=1e-12, atol=0)
+    hb[0, 0] = -1.0  # not positive definite
+    assert trs_mod._band_solve(hb, g) is None
