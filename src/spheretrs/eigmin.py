@@ -19,7 +19,8 @@ H's entries beyond it, roundoff of no more than that size.
 
 A solve given a vector b returns its Krylov state: the same space
 approximates the solution of the sphere problem with that b (Gould, Lucidi,
-Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read.  The
+Roma & Toint 1999), which ``lpr_solve`` and ``solve_trs`` read; one kernel
+(``_sphere_band``) solves that projected problem on H's band.  The
 iteration itself is a generator (``_lanczos``) that yields its state after
 each step; ``min_eigpair`` stops it by the residual test, and
 ``solve_trs`` may stop it earlier, once its own answer is certified.
@@ -152,6 +153,108 @@ def _from_band(hb: np.ndarray) -> np.ndarray:
         j = np.arange(k - d)
         h[j + d, j] = h[j, j + d] = hb[d, : k - d]
     return h
+
+
+def _to_band(h: np.ndarray) -> np.ndarray:
+    """The lower band (layout of :func:`_band_ritz`, corner zero) of a dense
+    symmetric h that is exactly zero beyond it, as the Krylov state's H is."""
+    i, j = np.nonzero(h)
+    kd, k = int(np.max(i - j, initial=0)), h.shape[0]
+    hb = np.zeros((kd + 1, k))
+    for d in range(kd + 1):
+        hb[d, : k - d] = h.diagonal(-d)
+    return hb
+
+
+def _shifted_solve(hb: np.ndarray, mu: float, g: np.ndarray):
+    """``(cb, z)``: the banded Cholesky factor of H - mu I, for the H whose
+    lower band is ``hb``, and z = -(H - mu I)^{-1} g; None when H - mu I is
+    not positive definite.  LAPACK's ``dpbtrf`` and ``dpbtrs`` never read
+    the band's corner, which may hold anything."""
+    a = hb.copy(order="F")
+    a[0] -= mu
+    cb, info = lapack.dpbtrf(a, lower=1, overwrite_ab=1)
+    return None if info else (cb, -_cho(cb, g))
+
+
+def _cho(cb: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(L L')^{-1} v for the lower banded Cholesky factor ``cb`` = L."""
+    return lapack.dpbtrs(cb, v, lower=1)[0]
+
+
+def _sphere_band(
+    hb: np.ndarray, g: np.ndarray, hi: Optional[float] = None, mu: Optional[float] = None
+):
+    """The sphere problem min z'Hz/2 + g'z, ||z|| = 1, on the band ``hb`` of
+    H (the layout of :func:`_band_ritz`; the corner is not read): its global
+    answer ``(z, mu)``, H z + g = mu z with mu <= theta_1, the lowest
+    eigenvalue of H.
+
+    z(mu) = -(H - mu I)^{-1} g grows in norm on (-inf, theta_1), and
+    1/||z(mu)|| is concave there, so Newton on 1/||z(mu)|| = 1 from a shift
+    where ||z|| > 1 descends monotonically onto the root, every shift
+    factoring by banded Cholesky (More & Sorensen 1983).  It stops once a
+    step no longer lowers mu or crosses the root: rounding then outweighs
+    the step.  ``mu``, a nearby problem's multiplier, warm-starts Newton
+    when ||z(mu)|| > 1.
+
+    Given ``hi`` <= theta_1, Newton runs from there only when
+    ||z(hi)|| > 1; otherwise the answer's multiplier is not below ``hi`` and
+    the result is ``(z(hi), hi)`` (with hi = 0 and H positive definite, the
+    ball problem's interior answer).  None when H - hi I is not positive
+    definite.
+
+    Without ``hi`` the global answer is returned.  Newton starts at
+    hi = theta_1 - delta, delta = sqrt(eps) max(|h|, ||g||).  When
+    ||z(hi)|| <= 1 the root lies in [hi, theta_1]: the hard case or close
+    to it.  Then z = x + tau v with mu = theta_1, where v is the minimal
+    eigenvector (two steps of inverse iteration on the factor at hi),
+    x = z(hi) + delta z'(hi) (the Taylor step to theta_1, which leaves an
+    error O(delta^2)) with v's component removed, and tau makes ||z|| = 1
+    with tau v'g <= 0.  The factor at hi is never singular, even where
+    H - theta_1 I is exactly so (the lift diag(0, H)).
+    """
+    if hi is None:
+        kd, k = hb.shape[0] - 1, hb.shape[1]
+        theta1 = scipy.linalg.eig_banded(
+            hb, lower=True, eigvals_only=True, select="i", select_range=(0, 0), check_finite=False
+        )[0]
+        scale = max(np.linalg.norm(g), *(np.abs(hb[d, : k - d]).max() for d in range(kd + 1)))
+        delta = np.sqrt(np.finfo(float).eps) * scale or 1.0
+        while (f := _shifted_solve(hb, theta1 - delta, g)) is None:
+            delta *= 2.0  # theta_1 read high by more than delta: roundoff only
+        hi = theta1 - delta
+    elif (f := _shifted_solve(hb, hi, g)) is None:
+        return None
+    else:
+        theta1 = None
+    cb, z = f
+    if z @ z <= 1.0:
+        if theta1 is None:
+            return z, hi
+        v = np.random.default_rng(0).standard_normal(z.size)
+        for _ in range(2):
+            v = _cho(cb, v)
+            v /= np.linalg.norm(v)
+        x = z + (theta1 - hi) * _cho(cb, z)
+        x -= (v @ x) * v
+        if x @ x > 1.0:  # another eigenvalue within delta of theta_1: no Taylor step
+            x = z - (v @ z) * v
+        return x - np.copysign(np.sqrt(1.0 - x @ x), v @ g) * v, float(theta1)
+
+    m = hi
+    if mu is not None and mu < hi and (w := _shifted_solve(hb, mu, g)) is not None:
+        if w[1] @ w[1] > 1.0:
+            m, (cb, z) = mu, w
+    while True:
+        zz = z @ z
+        m_next = m - zz * (np.sqrt(zz) - 1.0) / (z @ _cho(cb, z))
+        if not m_next < m or (f := _shifted_solve(hb, m_next, g)) is None:
+            break
+        m, (cb, z) = m_next, f
+        if z @ z <= 1.0:
+            break
+    return z / np.linalg.norm(z), float(m)
 
 
 def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -121,9 +121,10 @@ class PointState:
     application: b'x, x'Ax, mu_x, q (afresh unless given), M_x, ||r|| for
     r = mu_x x - Ax - b, and d = -g, M_x d and g(g, g) for the gradient
     g = P_x M_x^{-1} (Ax + b).  Under :class:`StandardMetric` g = -r: d = r, and
-    r'r gives g(g, g) and ||r||, in six vector passes.  Other metrics form ``axb``."""
+    r'r gives g(g, g) and ||r||, in six vector passes; M_x is built only when
+    read, which there only ``rcg``'s transport does.  Other metrics form ``axb``."""
 
-    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "lm", "d", "md", "gg", "rn")
+    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "_lm", "d", "md", "gg", "rn")
     g = property(lambda self: -self.d, doc="The gradient P_x M_x^{-1} (Ax + b).")
 
     def __init__(self, m: MetricScheme, p: BtrsProblem, x, ax, q: float | None = None):
@@ -132,16 +133,23 @@ class PointState:
         self.xax = xax = float(x.dot(ax))
         self.mu = mu = xax + bx
         self.q = 0.5 * xax + bx if q is None else q
-        self.lm = lm = m.at(p, x, mu)
         r = mu * x - ax - p.b  # btrs.residual's expression
         self.rn = math.sqrt(rr := float(r.dot(r)))
         if isinstance(m, StandardMetric):
-            self.axb, self.d, self.md, self.gg = None, r, r, rr
+            self._lm, self.axb, self.d, self.md, self.gg = None, None, r, r, rr
         else:
+            self._lm = lm = m.at(p, x, mu)
             self.axb = ax + p.b
             self.d = d = -lm.project(lm.minv(self.axb))
             self.md = lm.mapply(d)
             self.gg = float(d.dot(self.md))
+
+    @property
+    def lm(self) -> LocalMetric:
+        """M_x at this point."""
+        if self._lm is None:  # StandardMetric's, built on first read
+            self._lm = _EuclideanLocal(self.x)
+        return self._lm
 
 
 def rgrad(m: MetricScheme, p: BtrsProblem, x) -> np.ndarray:

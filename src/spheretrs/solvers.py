@@ -41,10 +41,10 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .btrs import BtrsProblem, CaseInfo, classify
-from .eigmin import MinEigResult, min_eigpair
+from .eigmin import MinEigResult, _sphere_band, _to_band, min_eigpair
 from .geometry import MetricScheme, PointState, StandardMetric, hess_apply_stationary
 from .linop import CallbackOp, DenseOp, require_int
-from .oracle import GLOBAL_SOLVE_LIMIT, global_solve
+from .oracle import global_solve
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -312,9 +312,10 @@ def _descent_loop(
 
         if use_cg:
             # Transport the last -g and d by projection; Polak-Ribiere+ in the metric.
-            tg = s.lm.project(old.d)
-            td = s.lm.project(d)
-            beta = float(s.d.dot(s.md) - s.d.dot(s.lm.mapply(tg))) / old.gg if old.gg > 0 else 0.0
+            lm = s.lm
+            tg = lm.project(old.d)
+            td = lm.project(d)
+            beta = float(s.d.dot(s.md) - s.d.dot(lm.mapply(tg))) / old.gg if old.gg > 0 else 0.0
             beta = max(0.0, beta)
             d = s.d + beta * td
             dg = -float(d.dot(s.md))
@@ -438,12 +439,12 @@ def lpr_solve(
 
     Without ``eig`` it runs ``min_eigpair`` from b, whose Krylov state holds
     an approximate solution.  Without ``x0`` the descent opens there: at
-    x0 = Q y, with y the :func:`global_solve` of the k-by-k problem
-    (Q'AQ, Q'b) projected onto the state's basis Q (Gould, Lucidi, Roma &
-    Toint 1999).  An ``eig`` with no state, or with more than
-    ``GLOBAL_SOLVE_LIMIT`` columns, gives the start s u - b, with u the
-    minimal eigenvector of :func:`classify` and s = +-1 making s u'b <= 0:
-    a point in S_E and S_H.  Either way, given ``eig`` the answer does not
+    x0 = Q y, with y the global answer of the k-by-k problem (Q'AQ, Q'b)
+    projected onto the state's basis Q (Gould, Lucidi, Roma & Toint 1999),
+    solved on the band of Q'AQ by ``eigmin._sphere_band`` at any k.  An
+    ``eig`` with no state gives the start s u - b, with u the minimal
+    eigenvector of :func:`classify` and s = +-1 making s u'b <= 0: a point
+    in S_E and S_H.  Either way, given ``eig`` the answer does not
     depend on ``cfg.rng_seed``.  ``x0`` is checked before the eigensolve, and
     the length of a given ``eig``'s basis vectors before A is applied.
 
@@ -467,9 +468,9 @@ def lpr_solve(
     elif any(np.shape(v) != (p.dim,) for v in eig.basis):
         raise ValueError(f"eig basis vectors must have length {p.dim}")
     case = classify(p, eig)
-    if x0 is None and eig.krylov is not None and len(eig.krylov[1]) <= GLOBAL_SOLVE_LIMIT:
+    if x0 is None and eig.krylov is not None:
         q, h = eig.krylov
-        x0 = q @ global_solve(BtrsProblem(a=DenseOp(h), b=q.T @ p.b)).x
+        x0 = q @ _sphere_band(_to_band(h), q.T @ p.b)[0]
     elif x0 is None:
         x0 = (-1.0 if float(case.u @ p.b) > 0 else 1.0) * case.u - p.b
 

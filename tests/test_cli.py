@@ -74,6 +74,16 @@ def test_trs_command(tmp_path, capsys):
     assert res["route"] == "augmented"
 
 
+def test_trs_certified_boundary_answer_prints_no_case(tmp_path, capsys):
+    # Positive definite with -A^{-1}b outside the ball: the certified stop
+    # returns the boundary answer with no classification.
+    path = write_problem(tmp_path, np.linspace(1.0, 10.0, 40), 5.0 * np.cos(np.arange(40.0)))
+    for strategy, route in (("decide", "direct"), ("always-augment", "augmented")):
+        assert main(["trs", str(path), "--strategy", strategy]) == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["route"] == route and res["case"] is None
+        assert res["status"] == "Converged"
+
 
 def test_trs_trace_only_on_a_boundary_route(tmp_path, capsys):
     trace = tmp_path / "t.csv"

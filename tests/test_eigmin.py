@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from spheretrs import (
+    BtrsProblem,
     CallbackOp,
     DenseOp,
     DiagonalOp,
     GenSpec,
     classify,
     generate,
+    global_solve,
     min_eigpair,
+    objective,
 )
 from spheretrs import eigmin
 from spheretrs.eigmin import (
@@ -19,7 +22,10 @@ from spheretrs.eigmin import (
     _cluster_tol,
     _from_band,
     _groups,
+    _sphere_band,
+    _to_band,
 )
+from spheretrs.trs import lift_eigpair
 
 
 def test_multiplicity_two_basis():
@@ -404,3 +410,55 @@ def test_b_start_leaves_the_bench_grid_eigenpair(gap, kw):
 def test_rejects_bad_b(b, match):
     with pytest.raises(ValueError, match=match):
         min_eigpair(DiagonalOp(np.arange(1.0, 5.0)), b=b)
+
+
+def _kernel_cases(gap):
+    """(label, H, g) sphere problems projected onto the Krylov state of a gen
+    n=300 instance: its own g = Q'b, g = 0, g with its component along the
+    projection's minimal eigenvector removed, and the lift diag(0, H) with
+    (0, g), whose lowest eigenvalue sits exactly at 0 when A is positive
+    definite."""
+    spec = GenSpec(n=300, gap=gap, seed=1)
+    if gap == 0.5:  # positive definite, -A^{-1}b inside the ball
+        spec = replace(spec, noise_frac=0.0, signal_range=(1.0, 10.0))
+    p, _ = generate(spec)
+    eig = min_eigpair(p.a, b=p.b)
+    q, h = eig.krylov
+    g = q.T @ p.b
+    s1 = np.linalg.eigh(h)[1][:, 0]
+    ql, hl = lift_eigpair(eig).krylov
+    yield "projection", h, g
+    yield "b = 0", h, np.zeros_like(g)
+    yield "g orthogonal to s_1", h, g - s1 * (s1 @ g)
+    yield "g/10 orthogonal to s_1", h, 0.1 * (g - s1 * (s1 @ g))
+    yield "lift", hl, ql.T @ np.r_[0.0, p.b]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-8, 1e-2, 0.5])
+def test_sphere_band_matches_global_solve(gap):
+    for label, h, g in _kernel_cases(gap):
+        z, mu = _sphere_band(_to_band(h), g)
+        proj = BtrsProblem(a=DenseOp(h), b=g)
+        ref = global_solve(proj)
+        q_ref = objective(proj, ref.x)
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-14, label
+        assert abs(objective(proj, z) - q_ref) <= 1e-12 * abs(q_ref), label
+        # Stationary, with a multiplier no larger than H's lowest eigenvalue.
+        assert np.linalg.norm(h @ z + g - mu * z) <= 1e-9 * np.abs(h).max(), label
+        assert mu <= np.linalg.eigvalsh(h)[0] + 1e-12, label
+
+
+def test_sphere_band_below_a_shift():
+    # Given hi, the answer below hi, or z(hi) = -(H - hi I)^{-1} g with mu = hi
+    # when the answer's multiplier is not below it; None when H - hi I is not
+    # positive definite.
+    h = np.diag([1.0, 2.0, 4.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
+    hb = _to_band(h)
+    lam = np.linalg.eigvalsh(h)[0]
+    g = np.array([0.2, -0.1, 0.3])
+    z, mu = _sphere_band(hb, g, 0.0)
+    assert mu == 0.0 and np.allclose(z, -np.linalg.solve(h, g), rtol=1e-14)
+    z, mu = _sphere_band(hb, 10.0 * g, 0.0, mu=-50.0)  # a warm start below the root
+    assert mu < 0.0 and abs(np.linalg.norm(z) - 1.0) <= 1e-15
+    assert np.allclose(h @ z + 10.0 * g, mu * z, rtol=0, atol=1e-12)
+    assert _sphere_band(hb, g, lam + 1e-3) is None

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spheretrs import (
     BtrsProblem,
@@ -624,8 +625,10 @@ def test_lpr_solve_checks_x0_before_the_eigensolve(x0, match):
 
 
 def test_krylov_state_beyond_the_global_solve_limit():
-    # k = 2001 columns: the projected problem is too large for global_solve,
-    # so the solve opens at s u - b, as with no Krylov state.
+    # k = 2001 columns, past global_solve's limit: the banded kernel has
+    # none, so the solve opens at the projected optimum.  With Q = I that is
+    # the optimum itself, and the solve converges at its first row; without
+    # the state it opens at s u - b and descends.
     n = GLOBAL_SOLVE_LIMIT + 1
     d = np.r_[-1.0, np.linspace(0.0, 1.0, n - 1)]
     p = diag_problem(d, np.r_[0.5, np.full(n - 1, 1.0 / n)])
@@ -633,8 +636,11 @@ def test_krylov_state_beyond_the_global_solve_limit():
     stateless = MinEigResult(-1.0, [e1], 1e-10, 1)
     eig = replace(stateless, krylov=(np.eye(n), np.diag(d)))
     res = lpr_solve(p, eig=eig)
-    assert res.converged
-    assert res.trace.q == lpr_solve(p, eig=stateless).trace.q
+    assert res.converged and len(res.trace.q) == 1
+    # The secular equation ||(D - mu I)^{-1} b|| = 1 has one root below -1.
+    mu = brentq(lambda m: np.sum((p.b / (d - m)) ** 2) - 1.0, -1.0 - 2.0 * p.b_norm, -1.0 - 1e-9)
+    assert res.q == pytest.approx(objective(p, -p.b / (d - mu)), rel=1e-12)
+    assert len(lpr_solve(p, eig=stateless).trace.q) > 1
 
 
 def test_armijo_dd_shortcut_is_exact():

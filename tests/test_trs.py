@@ -253,8 +253,22 @@ def test_interior_route_costs_one_application_after_the_eigensolve():
     assert res.q == pytest.approx(objective(p0, y), rel=1e-14)
 
 
+def _double_problem(scale, n=60):
+    """Positive definite, lambda_min = 0.5 twice and the rest in [1, 10];
+    scale 0.2 puts -A^{-1}b inside the ball, 5 outside."""
+    rng = np.random.default_rng(4)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate(([0.5, 0.5], np.linspace(1.0, 10.0, n - 2)))
+    a = (v * lam) @ v.T
+    b = rng.standard_normal(n)
+    return BtrsProblem(a=DenseOp((a + a.T) / 2), b=scale * b / np.linalg.norm(b))
+
+
 def test_projected_direct_route_costs_one_application_before_lpr_solve():
-    p0 = _pd_problem(2.0)
+    # A double lambda_min has no Kato-Temple bound (a cluster of two), so
+    # no certificate: the eigensolve runs to its end, the Galerkin check
+    # takes one fresh A y, and lpr_solve finishes as it would alone.
+    p0 = _double_problem(5.0)
     p = _counting(p0)
     eig = min_eigpair(p.a, seed=0, b=p.b)
     assert eig.lambda_min > 0
@@ -262,11 +276,31 @@ def test_projected_direct_route_costs_one_application_before_lpr_solve():
     lpr_calls = p.a.calls[0]
     p = _counting(p0)
     res = solve_trs(p, "decide")
-    assert res.route == "direct"
+    assert res.route == "direct" and res.case_kind == "easy"
     assert p.a.calls[0] == lpr_calls + 1
     assert res.x.tobytes() == direct.x.tobytes()
     _, q_true = trs_optimum(p0)
     assert res.q == pytest.approx(q_true, rel=1e-12)
+
+
+def test_certified_boundary_answer_on_the_pd_boundary_instance():
+    # -A^{-1}b lies outside the ball.  Once the Kato-Temple bound clears the
+    # projected sphere answer's multiplier by its residual, the eigensolve
+    # stops (iteration 19 of 20 here) and one fresh A y confirms the answer:
+    # no classification runs, so the case is None.
+    p0 = _pd_problem(2.0)
+    p = _counting(p0)
+    eig = min_eigpair(p.a, b=p.b)
+    eig_calls = p.a.calls[0]
+    _, q_true = trs_optimum(p0)
+    for strategy, route in (("decide", "direct"), ("always_augment", "augmented")):
+        p = _counting(p0)
+        res = solve_trs(p, strategy)
+        assert res.route == route and res.case_kind is None
+        assert res.boundary.converged and len(res.boundary.trace.q) == 1
+        assert p.a.calls[0] == eig_calls - 2 + 1
+        assert res.q == pytest.approx(q_true, rel=1e-12)
+        assert np.linalg.norm(res.x) <= 1.0 + 1e-12
 
 
 def test_failed_galerkin_check_takes_the_lift():
@@ -293,9 +327,11 @@ def test_lift_eigpair_lifts_the_krylov_state(gap):
 
 def test_zero_b_positive_definite_takes_the_lift():
     # With b = 0 the eigensolve keeps its Krylov state: "decide" finds the
-    # interior x = 0, and the lift returns x = 0 too.  The certificate holds
-    # after the start block's two applications, so the eigensolve stops
-    # there (it would take a third), and one fresh A y follows.
+    # interior x = 0, and the lift returns x = 0 too, to roundoff: it opens
+    # at the banded kernel's minimal eigenvector of diag(0, H), e_1 from
+    # inverse iteration.  The certificate holds after the start block's two
+    # applications, so the eigensolve stops there (it would take a third),
+    # and one fresh A y follows.
     p0 = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     p = _counting(p0)
     min_eigpair(p.a, b=p.b)
@@ -307,8 +343,7 @@ def test_zero_b_positive_definite_takes_the_lift():
     assert not np.signbit(res.x).any()  # array_equal takes -0.0 for 0.0
     res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
-    assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
-    assert not np.signbit(res.x).any()
+    assert np.abs(res.x).max() <= 1e-14 and abs(res.q) <= 1e-28
 
 
 def test_certified_stop_on_the_pd_interior_instance():
@@ -369,14 +404,7 @@ def test_early_ritz_values_above_a_missed_eigenvalue_certify_nothing():
 
 @pytest.mark.parametrize("scale", [0.2, 5.0])
 def test_double_lambda_min_positive_definite(scale):
-    # lambda_min = 0.5 twice; scale 0.2 puts -A^{-1}b inside the ball, 5 outside.
-    rng = np.random.default_rng(4)
-    n = 60
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.concatenate(([0.5, 0.5], np.linspace(1.0, 10.0, n - 2)))
-    a = (v * lam) @ v.T
-    b = rng.standard_normal(n)
-    p = BtrsProblem(a=DenseOp((a + a.T) / 2), b=scale * b / np.linalg.norm(b))
+    p = _double_problem(scale)
     _, q_true = trs_optimum(p)
     for strategy in ("decide", "always_augment"):
         res = solve_trs(p, strategy)
@@ -396,7 +424,117 @@ def test_band_solve_never_reads_the_band_corner():
     for d in range(3):
         hb[d, : k - d] = np.diagonal(h, -d)
     g = rng.standard_normal(k)
-    z = trs_mod._band_solve(hb, g)
-    assert np.allclose(z, np.linalg.solve(h, g), rtol=1e-12, atol=0)
+    _, z = eigmin_mod._shifted_solve(hb, 0.0, g)
+    assert np.allclose(z, -np.linalg.solve(h, g), rtol=1e-12, atol=0)
+    for hi in (None, 0.0):
+        z, mu = eigmin_mod._sphere_band(hb, 10.0 * g, hi)
+        assert np.isfinite(z).all() and mu < 0
+        assert np.allclose(h @ z + 10.0 * g, mu * z, rtol=0, atol=1e-12)
     hb[0, 0] = -1.0  # not positive definite
-    assert trs_mod._band_solve(hb, g) is None
+    assert eigmin_mod._shifted_solve(hb, 0.0, g) is None
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12])
+def test_hard_instances_fall_through_to_the_full_eigensolve(gap, monkeypatch):
+    # The projected answer's multiplier never clears the Kato-Temple bound,
+    # so both strategies end where the full eigensolve ends and finish as
+    # lpr_solve alone does; the banded kernel's factorizations are the cost
+    # of trying, about one per step.
+    p0, _ = generate(GenSpec(n=500, gap=gap, seed=1))
+    p = _counting(p0)
+    eig = min_eigpair(p.a, b=p.b)
+    eig_calls = p.a.calls[0]
+    reference = {
+        "decide": lpr_solve(p0, eig=eig).x,
+        "always_augment": lpr_solve(augment(p0), eig=trs_mod.lift_eigpair(eig)).x[1:],
+    }
+    counts = {"steps": 0, "factorizations": 0}
+    lanczos, shifted = eigmin_mod._lanczos, eigmin_mod._shifted_solve
+
+    def counted_lanczos(*args):
+        for step in lanczos(*args):
+            counts["steps"] += 1
+            yield step
+
+    def counted_shifted(*args):
+        counts["factorizations"] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(trs_mod, "_lanczos", counted_lanczos)
+    monkeypatch.setattr(eigmin_mod, "_shifted_solve", counted_shifted)
+    for strategy, route in (("decide", "direct"), ("always_augment", "augmented")):
+        counts.update(steps=0, factorizations=0)
+        p = _counting(p0)
+        res = solve_trs(p, strategy)
+        assert res.route == route and res.case_kind == "hard"
+        assert counts["steps"] == eig.iterations
+        # The eigensolve, then lpr_solve's classification and its descent,
+        # which opens at the projected optimum and converges there.
+        assert p.a.calls[0] == eig_calls + len(res.boundary.case and eig.basis) + 1
+        assert res.x.tobytes() == reference[strategy].tobytes()
+        assert counts["factorizations"] <= 2 * counts["steps"], counts
+
+
+@pytest.mark.parametrize("rng_seed", range(8))
+def test_pd_interior_instance_gives_no_boundary_answer(rng_seed):
+    # The interior instance's projected sphere answer has mu = +0.5: never
+    # a boundary answer, whichever start column the eigensolve draws.
+    spec = GenSpec(n=500, gap=0.5, seed=1, noise_frac=0.0, signal_range=(1.0, 10.0))
+    p, _ = generate(spec)
+    y = np.linalg.solve(p.a.to_dense(), -p.b)
+    cfg = SolverConfig(rng_seed=rng_seed)
+    res = solve_trs(p, "decide", cfg)
+    assert res.route == "interior"
+    res = solve_trs(p, "always_augment", cfg)
+    assert res.route == "augmented" and res.case_kind == "hard"
+    assert np.linalg.norm(res.x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def test_early_ritz_values_above_a_missed_eigenvalue_certify_no_boundary_answer():
+    # The trap with b scaled so that the answer lies on the boundary.  Before
+    # the Ritz values expose lambda_min = -0.5, the projected sphere answer
+    # has a multiplier in (-0.5, 0) below the Kato-Temple bound, a wrong
+    # certificate but for its residual; the certified stop must wait.
+    p = _trap_problem()
+    p = BtrsProblem(a=p.a, b=p.b * (3.0 / p.b_norm))
+    exposed, tempted = None, False
+    mu = None
+    for step in eigmin_mod._lanczos(p.a, 1e-10, 0, p.b):
+        if step.theta[0] < 0:
+            exposed = step.iterations
+            break
+        if (lb := step.lower_bound()) > -np.inf:
+            sol = eigmin_mod._sphere_band(step.hb, step.q.T @ p.b, min(lb, 0.0), mu)
+            if sol is not None and sol[1] < min(lb, 0.0):
+                mu = sol[1]
+                tempted |= -0.5 < mu
+    assert exposed is not None and tempted
+    _, q_true = trs_optimum(p)
+    for strategy, route in (("decide", "direct"), ("always_augment", "augmented")):
+        pc = _counting(p)
+        res = solve_trs(pc, strategy)
+        assert res.route == route
+        assert pc.a.calls[0] > 2 * exposed
+        assert res.q == pytest.approx(q_true, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 80, 120, 200])
+def test_certified_answers_match_the_oracle(n):
+    # Positive definite (-A^{-1}b outside the ball) and indefinite easy
+    # instances; every certified boundary answer (no classification, so
+    # case None) matches the dense optimum under both strategies.
+    certified = 0
+    for seed in range(3):
+        for spec in (
+            GenSpec(n=n, gap=2.0, seed=seed, noise_frac=0.0, signal_range=(1.0, 10.0)),
+            GenSpec(n=n, gap=1e-2, seed=seed),
+            GenSpec(n=n, gap=1.0, seed=seed),
+        ):
+            p, _ = generate(spec)
+            _, q_true = trs_optimum(p)
+            for strategy in ("decide", "always_augment"):
+                res = solve_trs(p, strategy)
+                assert res.q == pytest.approx(q_true, rel=1e-12)
+                assert np.linalg.norm(res.x) <= 1.0 + 1e-12
+                certified += res.route != "interior" and res.case_kind is None
+    assert certified >= 4
