@@ -32,9 +32,13 @@ res = solve_trs(p, strategy="decide")
 print("boundary case :", res.x, "route:", res.route)
 
 # The always-augment strategy lifts every instance.  solve_trs runs its
-# eigensolve from b, so the lift's lpr_solve opens at the optimum
-# projected onto that Krylov space.  For positive definite A the lifted
-# problem is a hard-case sphere problem whose minimal eigenvector is e_1.
+# eigensolve from b; at n = 2 it ends after one step, so the lift's
+# lpr_solve opens at the optimum projected onto that Krylov space (the
+# banded kernel's answer) and reports the lift's case.  For positive
+# definite A the lifted problem is a hard-case sphere problem whose minimal
+# eigenvector is e_1.  On a larger problem the certified stop can end the
+# eigensolve early and return a boundary answer that no classification
+# produced: its case is None.
 res = solve_trs(p, strategy="always_augment")
 print("lifted        :", res.x, "route:", res.route, "case:", res.case_kind)
 

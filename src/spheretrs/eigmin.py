@@ -205,9 +205,10 @@ def _sphere_band(
     definite.
 
     Without ``hi`` the global answer is returned.  Newton starts at
-    hi = theta_1 - delta, delta = sqrt(eps) max(|h|, ||g||).  When
-    ||z(hi)|| <= 1 the root lies in [hi, theta_1]: the hard case or close
-    to it.  Then z = x + tau v with mu = theta_1, where v is the minimal
+    hi = theta_1 - delta, delta = sqrt(eps) max(|h|, ||g||), far above the
+    roundoff of theta_1, so H - hi I factors.  When ||z(hi)|| <= 1 the root
+    lies in [hi, theta_1]: the hard case or close to it.  Then
+    z = x + tau v with mu = theta_1, where v is the minimal
     eigenvector (two steps of inverse iteration on the factor at hi),
     x = z(hi) + delta z'(hi) (the Taylor step to theta_1, which leaves an
     error O(delta^2)) with v's component removed, and tau makes ||z|| = 1
@@ -220,14 +221,11 @@ def _sphere_band(
             hb, lower=True, eigvals_only=True, select="i", select_range=(0, 0), check_finite=False
         )[0]
         scale = max(np.linalg.norm(g), *(np.abs(hb[d, : k - d]).max() for d in range(kd + 1)))
-        delta = np.sqrt(np.finfo(float).eps) * scale or 1.0
-        while (f := _shifted_solve(hb, theta1 - delta, g)) is None:
-            delta *= 2.0  # theta_1 read high by more than delta: roundoff only
-        hi = theta1 - delta
-    elif (f := _shifted_solve(hb, hi, g)) is None:
-        return None
+        hi = theta1 - (np.sqrt(np.finfo(float).eps) * scale or 1.0)
     else:
         theta1 = None
+    if (f := _shifted_solve(hb, hi, g)) is None:
+        return None
     cb, z = f
     if z @ z <= 1.0:
         if theta1 is None:

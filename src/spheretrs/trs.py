@@ -120,9 +120,9 @@ def solve_trs(
     the ball, "direct" if not.  strategy "always_augment", or a Galerkin
     solution that fails that test, solves the lifted problem in dimension
     n+1 ("augmented"), which needs no linear solve; the first coordinate of
-    its solution is slack.  Each boundary route is one ``lpr_solve`` call,
-    which opens at the projected optimum, and ``q`` is that solve's: the
-    lift's objective equals q(x) exactly.
+    its solution is slack.  An uncertified boundary route is one
+    ``lpr_solve`` call, which opens at the projected optimum, and ``q`` is
+    that solve's: the lift's objective equals q(x) exactly.
 
     The eigensolve stops early once an answer is certified.  At each step
     with a Kato-Temple lower bound lb on lambda_min (``_Step.lower_bound``),

@@ -462,3 +462,16 @@ def test_sphere_band_below_a_shift():
     assert mu < 0.0 and abs(np.linalg.norm(z) - 1.0) <= 1e-15
     assert np.allclose(h @ z + 10.0 * g, mu * z, rtol=0, atol=1e-12)
     assert _sphere_band(hb, g, lam + 1e-3) is None
+
+
+def test_sphere_band_near_a_double_lowest_eigenvalue():
+    # theta_2 - theta_1 = 1e-10, far inside the hard-case offset delta, and
+    # g's weight on the second eigenvector overshoots the Taylor step: the
+    # answer is still a unit vector no worse than the dense oracle's, which
+    # takes the two eigenvalues for one.
+    h = np.diag([0.0, 1e-10, 1.0, 2.0])
+    g = np.array([0.0, 2.9e-8, 0.1, 0.1])
+    z, mu = _sphere_band(_to_band(h), g)
+    proj = BtrsProblem(a=DenseOp(h), b=g)
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-15 and mu == 0.0
+    assert objective(proj, z) <= objective(proj, global_solve(proj).x)

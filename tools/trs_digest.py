@@ -33,7 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import harness  # noqa: E402
-from spheretrs import BtrsProblem, CallbackOp, min_eigpair  # noqa: E402
+from spheretrs import CallbackOp, min_eigpair  # noqa: E402
 
 RNG_SEEDS = (0, 1, 2, 3)
 
