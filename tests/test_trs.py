@@ -470,7 +470,7 @@ def test_hard_instances_fall_through_to_the_full_eigensolve(gap, monkeypatch):
         assert counts["steps"] == eig.iterations
         # The eigensolve, then lpr_solve's classification and its descent,
         # which opens at the projected optimum and converges there.
-        assert p.a.calls[0] == eig_calls + len(res.boundary.case and eig.basis) + 1
+        assert p.a.calls[0] == eig_calls + len(eig.basis) + 1
         assert res.x.tobytes() == reference[strategy].tobytes()
         assert counts["factorizations"] <= 2 * counts["steps"], counts
 
