@@ -183,7 +183,11 @@ def _cho(cb: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _sphere_band(
-    hb: np.ndarray, g: np.ndarray, hi: Optional[float] = None, mu: Optional[float] = None
+    hb: np.ndarray,
+    g: np.ndarray,
+    hi: Optional[float] = None,
+    mu: Optional[float] = None,
+    v: Optional[np.ndarray] = None,
 ):
     """The sphere problem min z'Hz/2 + g'z, ||z|| = 1, on the band ``hb`` of
     H (the layout of :func:`_band_ritz`; the corner is not read): its global
@@ -207,13 +211,18 @@ def _sphere_band(
     Without ``hi`` the global answer is returned.  Newton starts at
     hi = theta_1 - delta, delta = sqrt(eps) max(|h|, ||g||), far above the
     roundoff of theta_1, so H - hi I factors.  When ||z(hi)|| <= 1 the root
-    lies in [hi, theta_1]: the hard case or close to it.  Then
-    z = x + tau v with mu = theta_1, where v is the minimal
-    eigenvector (two steps of inverse iteration on the factor at hi),
-    x = z(hi) + delta z'(hi) (the Taylor step to theta_1, which leaves an
-    error O(delta^2)) with v's component removed, and tau makes ||z|| = 1
-    with tau v'g <= 0.  The factor at hi is never singular, even where
-    H - theta_1 I is exactly so (the lift diag(0, H)).
+    lies in [hi, theta_1]: the hard case or close to it, where Newton's
+    shifts would near a singular factor.  Then z is the Rayleigh-Ritz
+    answer on the span of two vectors V near H's two lowest eigenvectors
+    (two steps of block inverse iteration on the factor at hi, the first
+    from ``v`` when given and nonzero, the rest from fixed random starts)
+    and of z(hi) and z'(hi): V carries the components whose eigenvalues lie
+    within about delta of theta_1, where z(mu) turns fastest, and z(hi),
+    z'(hi) the rest to first order in mu - hi, an error O(delta^2).  The
+    projected problem is solved in its own eigenbasis
+    (:func:`_sphere_eig`), so even a second eigenvalue within delta of
+    theta_1 costs no accuracy.  The factor at hi is never singular, even
+    where H - theta_1 I is exactly so (the lift diag(0, H)).
     """
     if hi is None:
         kd, k = hb.shape[0] - 1, hb.shape[1]
@@ -230,15 +239,17 @@ def _sphere_band(
     if z @ z <= 1.0:
         if theta1 is None:
             return z, hi
-        v = np.random.default_rng(0).standard_normal(z.size)
+        s = np.random.default_rng(0).standard_normal((z.size, 2))
+        if v is not None and v.any():
+            s[:, 0] = v
         for _ in range(2):
-            v = _cho(cb, v)
-            v /= np.linalg.norm(v)
-        x = z + (theta1 - hi) * _cho(cb, z)
-        x -= (v @ x) * v
-        if x @ x > 1.0:  # another eigenvalue within delta of theta_1: no Taylor step
-            x = z - (v @ z) * v
-        return x - np.copysign(np.sqrt(1.0 - x @ x), v @ g) * v, float(theta1)
+            s = _orthonormalize(_cho(cb, s))
+        dz = _cho(cb, z)  # z'(hi) = (H - hi I)^{-1} z(hi)
+        w = np.column_stack([s] + [u / np.linalg.norm(u) for u in (z, dz) if u.any()])
+        w = _orthonormalize(w)
+        t, u = np.linalg.eigh(w.T @ _band_mul(hb, w))
+        y, d = _sphere_eig(t, u.T @ (w.T @ g))
+        return w @ (u @ y), float(t[0] - d)
 
     m = hi
     if mu is not None and mu < hi and (w := _shifted_solve(hb, mu, g)) is not None:
@@ -253,6 +264,52 @@ def _sphere_band(
         if z @ z <= 1.0:
             break
     return z / np.linalg.norm(z), float(m)
+
+
+def _band_mul(hb: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H w for the H whose lower band is ``hb``; the corner is not read."""
+    k = hb.shape[1]
+    out = hb[0][:, None] * w
+    for d in range(1, hb.shape[0]):
+        out[d:] += hb[d, : k - d, None] * w[: k - d]
+        out[: k - d] += hb[d, : k - d, None] * w[d:]
+    return out
+
+
+def _sphere_eig(t: np.ndarray, c: np.ndarray):
+    """``(y, d)``: the global answer of min sum(t_i y_i^2)/2 + c'y, ||y|| = 1,
+    for ascending ``t``, with multiplier t_1 - d, d >= 0.  On d > 0,
+    y(d) = -c / (t - t_1 + d) falls in norm, and Newton on 1/||y(d)|| = 1
+    rises monotonically onto the root from a d where ||y(d)|| >= 1, as in
+    :func:`_sphere_band`.  Written in d rather than the multiplier, a root
+    any closer to t_1 than t_1's own rounding keeps its digits.  With no
+    weight on t_1's eigenvalues and ||y(0)|| <= 1 the answer is the hard
+    case's d = 0, completed along the first eigenvector with y_1 c_1 <= 0."""
+    s = t - t[0]
+    low = s == 0.0
+    if not c[low].any():
+        y = np.zeros_like(c)
+        y[~low] = -c[~low] / s[~low]
+        if y @ y <= 1.0:
+            y[0] = -np.copysign(np.sqrt(1.0 - y @ y), c[0])
+            return y, 0.0
+        d = 0.0
+    else:
+        d = np.abs(c[low]).max()
+    nz = c != 0.0  # the rest of y is 0 at any d
+    c, s = c[nz], s[nz]
+    yn = -c / (s + d)
+    while True:
+        yy = yn @ yn
+        d_next = d + yy * (np.sqrt(yy) - 1.0) / (yn @ (yn / (s + d)))
+        if not d_next > d:
+            break
+        d, yn = d_next, -c / (s + d_next)
+        if yn @ yn <= 1.0:
+            break
+    y = np.zeros(nz.size)
+    y[nz] = yn / np.linalg.norm(yn)
+    return y, d
 
 
 def _widen(x: np.ndarray, rows: int, cols: int) -> np.ndarray:

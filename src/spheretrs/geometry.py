@@ -124,7 +124,7 @@ class PointState:
     r'r gives g(g, g) and ||r||, in six vector passes; M_x is built only when
     read, which there only ``rcg``'s transport does.  Other metrics form ``axb``."""
 
-    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "_lm", "d", "md", "gg", "rn")
+    __slots__ = ("x", "ax", "bx", "xax", "axb", "mu", "q", "_m", "_p", "_lm", "d", "md", "gg", "rn")
     g = property(lambda self: -self.d, doc="The gradient P_x M_x^{-1} (Ax + b).")
 
     def __init__(self, m: MetricScheme, p: BtrsProblem, x, ax, q: float | None = None):
@@ -136,7 +136,8 @@ class PointState:
         r = mu * x - ax - p.b  # btrs.residual's expression
         self.rn = math.sqrt(rr := float(r.dot(r)))
         if isinstance(m, StandardMetric):
-            self._lm, self.axb, self.d, self.md, self.gg = None, None, r, r, rr
+            self._m, self._p, self._lm = m, p, None
+            self.axb, self.d, self.md, self.gg = None, r, r, rr
         else:
             self._lm = lm = m.at(p, x, mu)
             self.axb = ax + p.b
@@ -148,7 +149,7 @@ class PointState:
     def lm(self) -> LocalMetric:
         """M_x at this point."""
         if self._lm is None:  # StandardMetric's, built on first read
-            self._lm = _EuclideanLocal(self.x)
+            self._lm = self._m.at(self._p, self.x, self.mu)
         return self._lm
 
 

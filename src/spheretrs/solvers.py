@@ -441,7 +441,9 @@ def lpr_solve(
     an approximate solution.  Without ``x0`` the descent opens there: at
     x0 = Q y, with y the global answer of the k-by-k problem (Q'AQ, Q'b)
     projected onto the state's basis Q (Gould, Lucidi, Roma & Toint 1999),
-    solved on the band of Q'AQ by ``eigmin._sphere_band`` at any k.  An
+    solved on the band of Q'AQ by ``eigmin._sphere_band`` at any k, whose
+    hard-case inverse iteration starts from Q'u for ``eig``'s first basis
+    vector u (e_1 itself on the lift of a positive definite A).  An
     ``eig`` with no state gives the start s u - b, with u the minimal
     eigenvector of :func:`classify` and s = +-1 making s u'b <= 0: a point
     in S_E and S_H.  Either way, given ``eig`` the answer does not
@@ -470,7 +472,7 @@ def lpr_solve(
     case = classify(p, eig)
     if x0 is None and eig.krylov is not None:
         q, h = eig.krylov
-        x0 = q @ _sphere_band(_to_band(h), q.T @ p.b)[0]
+        x0 = q @ _sphere_band(_to_band(h), q.T @ p.b, v=q.T @ eig.basis[0])[0]
     elif x0 is None:
         x0 = (-1.0 if float(case.u @ p.b) > 0 else 1.0) * case.u - p.b
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spheretrs import (
     BtrsProblem,
@@ -464,14 +465,27 @@ def test_sphere_band_below_a_shift():
     assert _sphere_band(hb, g, lam + 1e-3) is None
 
 
-def test_sphere_band_near_a_double_lowest_eigenvalue():
-    # theta_2 - theta_1 = 1e-10, far inside the hard-case offset delta, and
-    # g's weight on the second eigenvector overshoots the Taylor step: the
-    # answer is still a unit vector no worse than the dense oracle's, which
-    # takes the two eigenvalues for one.
-    h = np.diag([0.0, 1e-10, 1.0, 2.0])
-    g = np.array([0.0, 2.9e-8, 0.1, 0.1])
-    z, mu = _sphere_band(_to_band(h), g)
-    proj = BtrsProblem(a=DenseOp(h), b=g)
-    assert abs(np.linalg.norm(z) - 1.0) <= 1e-15 and mu == 0.0
-    assert objective(proj, z) <= objective(proj, global_solve(proj).x)
+@pytest.mark.parametrize(
+    "t2, g2",
+    [(1e-9, 5e-10), (1e-9, 2e-9), (1e-8, 5e-9), (1e-10, 2.9e-8), (1e-10, 0.0)],
+)
+def test_sphere_band_near_a_double_lowest_eigenvalue(t2, g2):
+    # theta_2 - theta_1 far inside the hard-case offset delta: the answer is
+    # the global one, hard case or not, from any start of the inverse
+    # iteration.  The reference is the secular equation in d = -mu on the
+    # diagonal, where y_i = -g_i / (h_i + d); the dense oracle would take
+    # 0 and 1e-10 for one eigenvalue.
+    h = np.array([0.0, t2, 1.0, 2.0])
+    g = np.array([0.0, g2, 0.1, 0.1])
+    y = -g[1:] / h[1:]
+    if y @ y <= 1.0:  # the hard case: mu = theta_1 = 0
+        d, y = 0.0, np.r_[np.sqrt(1.0 - y @ y), y]
+    else:
+        d = brentq(lambda d: np.sum((g / (h + d)) ** 2) - 1.0, 1e-15, 1.0, xtol=1e-30, rtol=1e-15)
+        y = -g / (h + d)
+    proj = BtrsProblem(a=DenseOp(np.diag(h)), b=g)
+    for v in (None, np.eye(4)[0]):
+        z, mu = _sphere_band(_to_band(np.diag(h)), g, v=v)
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-15
+        assert objective(proj, z) == pytest.approx(objective(proj, y), rel=1e-14)
+        assert abs(mu + d) <= 1e-15 + 1e-12 * d

@@ -643,6 +643,28 @@ def test_krylov_state_beyond_the_global_solve_limit():
     assert len(lpr_solve(p, eig=stateless).trace.q) > 1
 
 
+def test_krylov_state_with_a_near_double_lowest_eigenvalue():
+    # H's two lowest eigenvalues 1e-9 apart, far inside the kernel's offset
+    # delta, and b with no weight on the lowest: the hard case, where the
+    # descent's stationarity test passes near any start that is stationary
+    # to about 1e-9, so the answer is as good as the projected start.  Once
+    # with Q = I, once with the eigensolve's own state on a rotated A (whose
+    # minimal eigenspace takes both eigenvalues).  The optimum:
+    # x = (tau, -1/2, -1/10, -1/20), mu = 0.
+    d = np.array([0.0, 1e-9, 1.0, 2.0])
+    c = np.array([0.0, 5e-10, 0.1, 0.1])
+    x = np.r_[0.0, -c[1:] / d[1:]]
+    x[0] = np.sqrt(1.0 - x @ x)
+    q_star = 0.5 * (d * x) @ x + c @ x
+    p = diag_problem(d, c)
+    eig = MinEigResult(0.0, [np.eye(4)[0]], 1e-10, 1, krylov=(np.eye(4), np.diag(d)))
+    v, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((40, 40)))
+    dr = np.r_[d, np.linspace(3.0, 10.0, 36)]
+    pr = BtrsProblem(a=DenseOp((v * dr) @ v.T), b=v[:, :4] @ c)
+    for res in (lpr_solve(p, eig=eig), lpr_solve(pr)):
+        assert res.converged and res.q == pytest.approx(q_star, rel=1e-12)
+
+
 def test_armijo_dd_shortcut_is_exact():
     # On the steepest-descent direction the standard metric's line search
     # takes d'd from the state's g'g, the same dot, so nothing changes.

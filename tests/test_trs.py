@@ -327,11 +327,9 @@ def test_lift_eigpair_lifts_the_krylov_state(gap):
 
 def test_zero_b_positive_definite_takes_the_lift():
     # With b = 0 the eigensolve keeps its Krylov state: "decide" finds the
-    # interior x = 0, and the lift returns x = 0 too, to roundoff: it opens
-    # at the banded kernel's minimal eigenvector of diag(0, H), e_1 from
-    # inverse iteration.  The certificate holds after the start block's two
-    # applications, so the eigensolve stops there (it would take a third),
-    # and one fresh A y follows.
+    # interior x = 0, and the lift returns x = 0 too.  The certificate holds
+    # after the start block's two applications, so the eigensolve stops
+    # there (it would take a third), and one fresh A y follows.
     p0 = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     p = _counting(p0)
     min_eigpair(p.a, b=p.b)
@@ -343,7 +341,8 @@ def test_zero_b_positive_definite_takes_the_lift():
     assert not np.signbit(res.x).any()  # array_equal takes -0.0 for 0.0
     res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
-    assert np.abs(res.x).max() <= 1e-14 and abs(res.q) <= 1e-28
+    assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
+    assert not np.signbit(res.x).any()
 
 
 def test_certified_stop_on_the_pd_interior_instance():
