@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands:
-  generate  write a synthetic problem JSON (plus a .planted.json sidecar)
+  generate  write a synthetic problem JSON (plus a .planted.json sidecar),
+            its arrays as base64 float64 (see ``probio``)
   solve     solve a sphere-constrained problem, print result JSON
   trs       solve the ball-constrained problem
   oracle    dense ground-truth report as JSON
   bench     sweep gaps x seeds x solvers, one trace CSV per run + summary
 
+Problem files may give each array as a base64 string or a JSON list.
 Exit codes: 0 converged, 2 iteration budget exhausted, 1 any error.
 The trace CSV of ``solve --trace`` and ``trs --trace`` gets a
 .manifest.json sidecar recording the command, the configuration and a hash

@@ -72,7 +72,8 @@ def generate(spec: GenSpec) -> Tuple[BtrsProblem, AffineEigenpair]:
     For gap > 0 the pair is exact by construction.  For gap = 0 (hard case)
     it is exact too: b lives in the complement of the minimal eigenvector
     and the planted point combines the particular solution with an
-    eigenvector component restoring unit norm.
+    eigenvector component restoring unit norm.  ``save_problem`` and
+    ``save_planted`` write both bit for bit (``spheretrs generate`` does).
     """
     rng = np.random.default_rng(spec.seed)
     lam = _spectrum(spec, rng)

@@ -146,8 +146,10 @@ def solve_trs(
 
     The bound rests on the eigensolve's standing assumption that no
     eigenvalue below the lowest Ritz value was missed; b's own component
-    along a missed eigenvector keeps the residual from passing.  A solve
-    not certified ends where ``min_eigpair`` does.
+    along a missed eigenvector keeps the residual from passing.  With b = 0
+    that residual is identically 0 and guards nothing, so no stop is
+    certified: the full eigensolve decides.  A solve not certified ends
+    where ``min_eigpair`` does.
     """
     if strategy not in ("decide", "always_augment"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -157,7 +159,7 @@ def solve_trs(
     for step in _lanczos(p.a, 1e-10, cfg.rng_seed, p.b):
         if step.done:
             break
-        if (lb := step.lower_bound()) == -np.inf:
+        if p.b_norm == 0 or (lb := step.lower_bound()) == -np.inf:
             continue
         t = min(lb, 0.0)
         if (sol := _sphere_band(step.hb, step.q.T @ p.b, t, mu)) is None:

@@ -327,22 +327,36 @@ def test_lift_eigpair_lifts_the_krylov_state(gap):
 
 def test_zero_b_positive_definite_takes_the_lift():
     # With b = 0 the eigensolve keeps its Krylov state: "decide" finds the
-    # interior x = 0, and the lift returns x = 0 too.  The certificate holds
-    # after the start block's two applications, so the eigensolve stops
-    # there (it would take a third), and one fresh A y follows.
+    # interior x = 0, and the lift returns x = 0 too.  The Galerkin residual
+    # that guards the certified stop is identically 0 when b = 0, so no stop
+    # is certified: the full eigensolve's three applications run, and one
+    # fresh A y follows.
     p0 = diag_problem([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     p = _counting(p0)
     min_eigpair(p.a, b=p.b)
     assert p.a.calls[0] == 3
     p = _counting(p0)
     res = solve_trs(p, "decide")
-    assert res.route == "interior" and p.a.calls[0] == 2 + 1
+    assert res.route == "interior" and p.a.calls[0] == 3 + 1
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
     assert not np.signbit(res.x).any()  # array_equal takes -0.0 for 0.0
     res = solve_trs(p0, "always_augment")
     assert res.route == "augmented" and res.boundary.converged
     assert np.array_equal(res.x, np.zeros(3)) and res.q == 0.0
     assert not np.signbit(res.x).any()
+
+
+@pytest.mark.parametrize("strategy", ["decide", "always_augment"])
+def test_zero_b_indefinite_finds_the_boundary_optimum(strategy):
+    # The CLI smoke problem.  At rng_seed 0, 4 and 7 the two random start
+    # columns miss e_1, and a stop certified on the start block alone (whose
+    # guard, the Galerkin residual, is 0 when b = 0) returned x = 0, q = 0.
+    p = diag_problem([-1.0, 2.0, 3.0, 5.0], [0.0, 0.0, 0.0, 0.0])
+    for seed in range(8):
+        res = solve_trs(p, strategy, SolverConfig(rng_seed=seed))
+        assert res.route == ("direct" if strategy == "decide" else "augmented")
+        assert res.q == pytest.approx(-0.5, abs=1e-12)
+        assert np.linalg.norm(res.x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_certified_stop_on_the_pd_interior_instance():
