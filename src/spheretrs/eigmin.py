@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .linop import SymOp, require_finite, require_int
+from .linop import NonFiniteOutputError, SymOp, require_finite, require_int
 
 
 def _cluster_tol(lam: float, tol: float) -> float:
@@ -348,7 +348,17 @@ class _Step:
         vectors, no group lies above it, or the group's interval reaches
         theta_1.  It holds under the eigensolve's standing assumption that
         no eigenvalue below theta_1 was missed, so that none but lambda_min
-        lies below theta_above - res_above."""
+        lies below theta_above - res_above.
+
+        Early in the iteration that assumption fails often.  On gen n=500,
+        gap 1e-8, seed 1 (lambda_min = -5), the bound read above -4.99932,
+        the multiplier of a non-global stationary point, before the
+        eigensolve's stop: from a random start at 2 of 150 seeds (-4.971
+        and -4.995 at seeds 11 and 31, iterations 16 and 21), from a start
+        at b at 11 of 150 (at gap 0, where that multiplier is -4.88154:
+        12 of 150).  So nothing certifies on it alone: ``solve_trs`` also
+        needs the projected answer's residual, and ``double_start``'s
+        certificate waits for the stop."""
         if self.edge != 1 or self.top == 1:
             return -np.inf
         gap = self.theta[1] - self.res[1] - self.theta[0]
@@ -401,7 +411,7 @@ def _lanczos(a: SymOp, tol: float, seed: int, b: Optional[np.ndarray]):
         av = a.apply_block(v)
         if not np.isfinite(av).all():
             # One O(n*block) test per iteration instead of one per matvec.
-            raise ValueError("operator output is non-finite (NaN or infinity)")
+            raise NonFiniteOutputError
         w = v.shape[1]
         if k + w > q.shape[1]:
             cap = min(n, max(2 * q.shape[1], k + w))

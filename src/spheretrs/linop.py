@@ -17,6 +17,13 @@ class DimensionMismatchError(ValueError):
     """Vector length does not match the operator dimension."""
 
 
+class NonFiniteOutputError(ValueError):
+    """An operator returned a NaN or an infinity."""
+
+    def __init__(self):
+        super().__init__("operator output is non-finite (NaN or infinity)")
+
+
 def _as_vector(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):

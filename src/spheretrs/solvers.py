@@ -18,6 +18,12 @@ optimum of the sphere problem projected onto that eigensolve's Krylov space
 (``MinEigResult.krylov``); often that start is already converged.  Given an
 ``eig`` without that state it opens at s u - b.
 
+``double_start`` certifies, then stops: a stationary point is global
+exactly when mu <= lambda_min(A), so a converged -b/||b|| run that one
+b-less eigensolve certifies (mu below its lowest Ritz interval by more than
+the run's residual) is returned without the random start, and one it
+refutes or leaves undecided is followed by the random start as before.
+
 Cost model: the descent loop applies A in two places.  The line search's
 ``A d`` is one application per descent step (``A x`` at the accepted point
 follows by linearity).  A fresh ``A x`` is taken at the start, every ``K``
@@ -41,9 +47,9 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .btrs import BtrsProblem, CaseInfo, classify
-from .eigmin import MinEigResult, _sphere_band, _to_band, min_eigpair
+from .eigmin import MinEigResult, _lanczos, _sphere_band, _to_band, min_eigpair
 from .geometry import MetricScheme, PointState, StandardMetric, hess_apply_stationary
-from .linop import CallbackOp, DenseOp, require_int
+from .linop import CallbackOp, DenseOp, NonFiniteOutputError, require_int
 from .oracle import global_solve
 
 STATUS_CONVERGED = "converged"
@@ -167,15 +173,12 @@ def haar_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class _NonFinite(ValueError):
-    """The operator returned a NaN or an infinity inside a line search."""
-
-
 def _armijo(p, s, d, decrease, cfg, capped):
     """Backtracking line search from the :class:`PointState` ``s`` along
     y(t) = (x + t d)/||x + t d||; accept when q(x) - q(y) >= t * c * decrease.
     Returns (t, y, ay, qy) or (None,)*4 when no acceptable step exists above
-    1e-18.  Raises :class:`_NonFinite` when d'Ad is not finite.
+    1e-18.  Raises :class:`~spheretrs.linop.NonFiniteOutputError` when d'Ad
+    is not finite.
 
     One operator application per call: ``A d`` feeds the decrease scalars,
     and ``ay = (ax + t A d) / ||x + t d||`` follows by linearity, so ``ay``
@@ -198,7 +201,7 @@ def _armijo(p, s, d, decrease, cfg, capped):
     bd = float(p.b.dot(d))
     dad = float(d.dot(ad))
     if not math.isfinite(dad):
-        raise _NonFinite("operator output is non-finite (NaN or infinity)")
+        raise NonFiniteOutputError
     xd = float(x.dot(d))
     dd = s.gg if d is s.d and s.axb is None else float(d.dot(d))
     # The standard metric forms no Ax + b: d'(Ax + b) = d'g + mu_x x'd, d'g = -decrease.
@@ -298,7 +301,7 @@ def _descent_loop(
 
         try:
             t, y, ay, qy = _armijo(p, s, d, -dg, cfg, capped)
-        except _NonFinite:
+        except NonFiniteOutputError:
             status, reason = STATUS_FAILED, "non-finite"
             break
         if t is None:
@@ -364,7 +367,9 @@ def _escape_start(p: BtrsProblem, x: np.ndarray, mu: float, seed: int):
     eigensolve's ``-cluster_tol`` (x is no saddle).
 
     The circle's 2x2 sphere problem takes two operator applications
-    (``A x`` and ``A w``) and is solved exactly by the oracle.
+    (``A x`` and ``A w``) and is solved exactly by the oracle.  Raises
+    :class:`~spheretrs.linop.NonFiniteOutputError` when the operator
+    returns a NaN or an infinity.
     """
 
     def hess(v):
@@ -376,8 +381,39 @@ def _escape_start(p: BtrsProblem, x: np.ndarray, mu: float, seed: int):
     w = eig.basis[0] - x * float(x @ eig.basis[0])
     v = np.column_stack([x, w / np.linalg.norm(w)])
     a2 = v.T @ p.a.apply_block(v)
+    if not np.isfinite(a2).all():
+        raise NonFiniteOutputError
     circle = BtrsProblem(a=DenseOp(0.5 * (a2 + a2.T)), b=v.T @ p.b)
     return v @ global_solve(circle).x
+
+
+def _certified_global(p: BtrsProblem, res: SolveResult, seed: int) -> bool:
+    """Whether the converged run ``res`` is certified global: whether its
+    multiplier mu lies below lambda_min(A) by more than ||r||, the residual
+    of its last row (a fresh ``A x``).
+
+    One b-less block Lanczos solve at ``min_eigpair``'s tolerance 1e-10
+    reads its lowest Ritz value theta_1 and that value's residual res_1
+    after each iteration.  Its start block is random: a start from b would
+    see no minimal eigenvector in the hard case, where b is orthogonal to
+    them.  It refutes, and returns False, as soon as theta_1 < mu - ||r||,
+    which is rigorous since lambda_min <= theta_1.  It certifies only at
+    the eigensolve's own stop, when theta_1 - res_1 - mu > ||r||.  That
+    rests on the eigensolve's standing assumption that no eigenvalue below
+    theta_1 was missed (Parlett 1998, ch. 10-11), which a random start
+    makes almost sure (Kuczynski & Wozniakowski 1992).  A Kato-Temple
+    bound read before that stop (``eigmin._Step.lower_bound``) can
+    still lie above lambda_min.  False when neither fires.  Raises
+    :class:`~spheretrs.linop.NonFiniteOutputError` when the operator
+    returns a NaN or an infinity.
+    """
+    rn = res.trace.res_norm[-1]
+    for step in _lanczos(p.a, 1e-10, seed, None):
+        theta = float(step.theta[0])
+        if theta < res.mu - rn:
+            return False
+        if step.done:
+            return theta - float(step.res[0]) - res.mu > rn
 
 
 def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -385,11 +421,19 @@ def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveRes
     return the better result.  The first start covers the easy case (it
     stays in S_E), the second covers the hard case (almost surely in S_H).
 
+    Certify, then stop: when the -b/||b|| run converges, one b-less
+    eigensolve (:func:`_certified_global`, about 100 applications at
+    n=500) tests whether its mu lies below lambda_min(A).  If it does, the
+    run is global and is returned without the random start; otherwise the
+    random start runs.  Its point is drawn before the first run either way.
+
     A random start close to orthogonal to the minimal eigenspace can sit
     near a saddle for the whole budget.  So each run that ends at
     ``max_iter`` gets a curvature check (:func:`_escape_start`, about 90
     applications at n=500); at a saddle, ``naive_rgd`` reruns from the
     minimizer on the negative-curvature great circle, marked ``escape``.
+    A NaN or an infinity from the operator inside either eigensolve fails
+    the run it checks, with reason ``non-finite``, as inside a run.
     Every run appends to one trace, which each result carries.
     """
     rng = np.random.default_rng(cfg.rng_seed)
@@ -405,11 +449,14 @@ def double_start(p: BtrsProblem, cfg: SolverConfig = SolverConfig()) -> SolveRes
 
     for x0 in starts:
         res = run("cold_start", x0)
-        if res.status != STATUS_MAX_ITER:
-            continue
-        y = _escape_start(p, res.x, res.mu, cfg.rng_seed)
-        if y is not None:
-            run("escape", y)
+        try:
+            if res.status == STATUS_MAX_ITER:
+                if (y := _escape_start(p, res.x, res.mu, cfg.rng_seed)) is not None:
+                    run("escape", y)
+            elif res.converged and x0 is not starts[-1] and _certified_global(p, res, cfg.rng_seed):
+                return res  # global: the random start can reach no lower q
+        except NonFiniteOutputError:
+            res.status, res.reason = STATUS_FAILED, "non-finite"
 
     ok = [r for r in results if r.status != STATUS_FAILED]
     if not ok:

@@ -452,6 +452,26 @@ def test_double_start_reports_non_finite_operator(k):
     assert res.reason == "non-finite"
 
 
+def test_double_start_reports_non_finite_in_its_eigensolves():
+    # The first NaN comes at each application of a check in turn: the
+    # curvature check of a max_iter run (its eigensolve, then the great
+    # circle's A x and A w), and the certificate of a converged run.
+    p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
+    counted = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
+    for cfg in (SolverConfig(max_iter=5), SolverConfig()):
+        counted.a.applies = 0
+        first = naive_rgd(counted, -p0.b / p0.b_norm, cfg)
+        run = counted.a.applies
+        if cfg.max_iter == 5:
+            assert first.status == "max_iter"
+            assert solvers_mod._escape_start(counted, first.x, first.mu, 0) is not None
+        else:
+            assert first.converged and solvers_mod._certified_global(counted, first, 0)
+        for k in range(run, counted.a.applies):
+            res = double_start(_nan_after(p0, k), cfg)
+            assert (res.status, res.reason) == ("failed", "non-finite"), k
+
+
 def test_lpr_solve_rejects_non_finite_operator():
     p0, _ = generate(GenSpec(n=20, gap=1e-2, seed=1))
     with pytest.raises(ValueError, match="non-finite"):
@@ -474,6 +494,19 @@ def test_double_start_escapes_a_saddle(near_hard_500, seed):
     assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
 
 
+@pytest.mark.parametrize("seed", [11, 31])
+def test_double_start_refutes_a_non_global_first_run(near_hard_500, seed):
+    # The -b/||b|| run converges to a non-global point (mu = -4.99932,
+    # lambda_min = -5).  At these seeds the random-start eigensolve's early
+    # Kato-Temple bound lies above that mu (-4.971 and -4.995 at its
+    # iterations 16 and 21); the certificate waits for the eigensolve's own
+    # stop, so it refutes instead, and the random start runs.
+    p, q_star = near_hard_500
+    res = double_start(p, SolverConfig(rng_seed=seed))
+    assert [k for _, k in res.trace.markers] == ["cold_start", "cold_start"]
+    assert abs(res.q - q_star) <= 1e-8 * abs(q_star)
+
+
 def test_lpr_solve_start_holds_no_random_draw(near_hard_500):
     p, q_star = near_hard_500
     res = lpr_solve(p, cfg=SolverConfig(rng_seed=55))
@@ -481,26 +514,31 @@ def test_lpr_solve_start_holds_no_random_draw(near_hard_500):
 
 
 def test_converged_double_start_makes_no_extra_apply():
+    # The -b/||b|| run converges to the global optimum, and the b-less
+    # eigensolve certifies it: the random start is skipped, and the solve
+    # costs that run plus one min_eigpair at its default tolerance.
     p0, _ = generate(GenSpec(n=60, gap=0.5, seed=1))
     p = BtrsProblem(a=CountingOp(p0.a.to_dense()), b=p0.b)
     res = double_start(p)
     applies, p.a.applies = p.a.applies, 0
-    starts = (-p.b / p.b_norm, haar_unit(60, np.random.default_rng(0)))
-    r1, r2 = [naive_rgd(p, x0) for x0 in starts]
-    assert r1.converged and r2.converged
-    assert applies == p.a.applies
-    # One trace for the solve: the second run's rows follow the first's.
-    rows = len(r1.trace.iters)
-    assert res.trace.markers == [(0, "cold_start"), (rows, "cold_start")]
-    assert len(res.trace.iters) == rows + len(r2.trace.iters)
+    r1 = naive_rgd(p, -p.b / p.b_norm)
+    run_applies, p.a.applies = p.a.applies, 0
+    min_eigpair(p.a, seed=0)
+    assert r1.converged
+    assert applies == run_applies + p.a.applies
+    assert res.trace.markers == [(0, "cold_start")]
+    assert len(res.trace.iters) == len(r1.trace.iters)
+    assert np.array_equal(res.x, r1.x)
+    assert (res.mu, res.q, res.status) == (r1.mu, r1.q, r1.status)
 
 
 def test_elapsed_s_runs_on_across_markers():
     # elapsed_s is the time since the solve began, so it does not restart
-    # at the second run's cold_start marker.
-    p, _ = generate(GenSpec(n=60, gap=0.5, seed=1))
+    # at the second run's cold_start marker.  On this hard case the -b/||b||
+    # run is not global, so the eigensolve refutes it and both runs happen.
+    p = diag_problem([0.0, 2.0, 3.0], [0.0, 1.0, 0.5])
     trace = double_start(p).trace
-    assert len(trace.markers) == 2
+    assert [k for _, k in trace.markers] == ["cold_start", "cold_start"]
     assert np.all(np.diff(trace.elapsed_s) >= 0.0)
     assert trace.elapsed_s[0] > 0.0
     # The start is the trace's own, set when it is made.

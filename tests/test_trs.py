@@ -17,6 +17,7 @@ from spheretrs import (
     generate,
     lpr_solve,
     min_eigpair,
+    naive_rgd,
     objective,
     solve_trs,
 )
@@ -486,6 +487,34 @@ def test_hard_instances_fall_through_to_the_full_eigensolve(gap, monkeypatch):
         assert p.a.calls[0] == eig_calls + len(eig.basis) + 1
         assert res.x.tobytes() == reference[strategy].tobytes()
         assert counts["factorizations"] <= 2 * counts["steps"], counts
+
+
+@pytest.fixture(scope="module")
+def near_hard_500():
+    """gen seed 1, n=500, by gap 1e-8 and 0: the problem, its planted q, and
+    the multiplier of the non-global point where the -b/||b|| descent
+    converges (-4.99932 and -4.88154, against lambda_min = -5)."""
+    out = {}
+    for gap in (1e-8, 0.0):
+        p, planted = generate(GenSpec(n=500, gap=gap, seed=1))
+        out[gap] = p, objective(p, planted.x), naive_rgd(p, -p.b / p.b_norm).mu
+    return out
+
+
+@pytest.mark.parametrize("gap, rng_seed", [(1e-8, 3), (1e-8, 6), (1e-8, 28), (0.0, 16), (0.0, 32)])
+def test_kato_temple_bound_above_a_local_mu_certifies_nothing(near_hard_500, gap, rng_seed):
+    # At these seeds the b-started eigensolve's Kato-Temple bound reads above
+    # that non-global multiplier before its stop, so it is no lower bound on
+    # lambda_min yet.  The Galerkin residual rho keeps solve_trs from
+    # certifying there: both strategies return the planted optimum.
+    p, q_star, mu_local = near_hard_500[gap]
+    for step in eigmin_mod._lanczos(p.a, 1e-10, rng_seed, p.b):
+        if step.done or step.lower_bound() > mu_local:
+            break
+    assert step.lower_bound() > mu_local
+    for strategy in ("decide", "always_augment"):
+        res = solve_trs(p, strategy, SolverConfig(rng_seed=rng_seed))
+        assert res.q == pytest.approx(q_star, rel=1e-12)
 
 
 @pytest.mark.parametrize("rng_seed", range(8))
